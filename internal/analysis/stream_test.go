@@ -256,3 +256,31 @@ func TestAnalyzeSourcesMixed(t *testing.T) {
 		t.Error("malformed trace should have a nil result")
 	}
 }
+
+// TestStreamConsumeScalarAllocFree: consuming a scalar access must not
+// allocate. The padding between reduced operations is most of a long
+// trace, so a per-entry allocation there (e.g. the by-value entry
+// escaping through an error path) costs heap proportional to the
+// stream, not to the retained frontier.
+func TestStreamConsumeScalarAllocFree(t *testing.T) {
+	hdr := trace.New()
+	hdr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"}
+	sa := New(Options{}).NewStream(hdr)
+	if err := sa.Consume(trace.Entry{Task: 1, Op: trace.OpBegin}); err != nil {
+		t.Fatal(err)
+	}
+	var consumeErr error
+	allocs := testing.AllocsPerRun(1000, func() {
+		for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
+			if err := sa.Consume(trace.Entry{Task: 1, Op: op, Var: 3}); err != nil {
+				consumeErr = err
+			}
+		}
+	})
+	if consumeErr != nil {
+		t.Fatal(consumeErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("Consume allocates %.1f times per two scalar entries; want 0", allocs)
+	}
+}

@@ -1,16 +1,16 @@
 package hb
 
-// bitmat is a dense reachability matrix: one bit row per reduced
-// node. Rows are allocated from one backing slice to keep the memory
-// layout compact and allocation count low.
+// bitmat is a dense reachability matrix: one bit row per exit, one
+// column per entry. Rows are allocated from one backing slice to keep
+// the memory layout compact and allocation count low.
 type bitmat struct {
 	words int
 	bits  []uint64
 }
 
-func newBitmat(n int) *bitmat {
-	words := (n + 63) / 64
-	return &bitmat{words: words, bits: make([]uint64, n*words)}
+func newBitmat(rows, cols int) *bitmat {
+	words := (cols + 63) / 64
+	return &bitmat{words: words, bits: make([]uint64, rows*words)}
 }
 
 func (m *bitmat) row(i int) []uint64 {
@@ -21,17 +21,19 @@ func (m *bitmat) set(i, j int) {
 	m.row(i)[j/64] |= 1 << (uint(j) % 64)
 }
 
-func (m *bitmat) get(i, j int) bool {
-	return m.row(i)[j/64]&(1<<(uint(j)%64)) != 0
+// setChanged sets bit (i, j) and reports whether it was clear.
+func (m *bitmat) setChanged(i, j int) bool {
+	w := &m.row(i)[j/64]
+	bit := uint64(1) << (uint(j) % 64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
 }
 
-// orInto ors row src into row dst.
-func (m *bitmat) orInto(dst, src int) {
-	d := m.row(dst)
-	s := m.row(src)
-	for k := range d {
-		d[k] |= s[k]
-	}
+func (m *bitmat) get(i, j int) bool {
+	return m.row(i)[j/64]&(1<<(uint(j)%64)) != 0
 }
 
 // orIntoChanged ors row src into row dst and reports whether dst
@@ -47,11 +49,4 @@ func (m *bitmat) orIntoChanged(dst, src int) bool {
 		diff |= old ^ nv
 	}
 	return diff != 0
-}
-
-// clear zeroes the whole matrix.
-func (m *bitmat) clear() {
-	for i := range m.bits {
-		m.bits[i] = 0
-	}
 }

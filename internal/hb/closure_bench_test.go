@@ -1,62 +1,14 @@
 package hb
 
 import (
-	"fmt"
 	"testing"
 
 	"cafa/internal/synth"
 )
 
-// buildFull replicates the pre-incremental fixpoint: recompute the
-// entire transitive closure on every round. It is the benchmark
-// baseline the incremental closure is measured against.
-func buildFull(ps *Prescan, opts Options) (*Graph, error) {
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 64
-	}
-	g := &Graph{
-		tr:           ps.tr,
-		opts:         opts,
-		nodes:        ps.nodes,
-		taskNodes:    ps.taskNodes,
-		begins:       ps.begins,
-		ends:         ps.ends,
-		queueSends:   ps.queueSends,
-		looperEvents: ps.looperEvents,
-	}
-	g.adj = make([][]int32, len(g.nodes))
-	for _, e := range ps.baseEdges {
-		g.adj[e.u] = append(g.adj[e.u], e.v)
-		g.baseEdges++
-	}
-	if opts.Conventional {
-		for _, evs := range g.looperEvents {
-			for i := 1; i < len(evs); i++ {
-				en, ok1 := g.ends[evs[i-1]]
-				b, ok2 := g.begins[evs[i]]
-				if ok1 && ok2 && g.addEdge(en, b) {
-					g.baseEdges++
-				}
-			}
-		}
-	}
-	g.reach = newBitmat(len(g.nodes))
-	for round := 0; ; round++ {
-		if round >= opts.MaxRounds {
-			return nil, fmt.Errorf("hb: fixpoint did not converge in %d rounds", opts.MaxRounds)
-		}
-		g.rounds = round + 1
-		g.closure()
-		g.pending = g.pending[:0]
-		if !g.applyDerivedRules() {
-			break
-		}
-	}
-	return g, nil
-}
-
 // TestBuildFullMatchesIncremental keeps the benchmark baseline honest:
-// both fixpoints must produce identical stats and closure bits on the
+// the incremental exit×entry fixpoint and the node-level reference
+// must produce identical stats, edges and reachability on the
 // synthetic workload the benchmarks use.
 func TestBuildFullMatchesIncremental(t *testing.T) {
 	tr := synth.Trace(synth.Config{Chain: 4, EventsPer: 8, FreeThreads: 4})
@@ -65,25 +17,7 @@ func TestBuildFullMatchesIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{{}, {Conventional: true}} {
-		inc, err := BuildFromScan(ps, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := buildFull(ps, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inc.Stats() != full.Stats() {
-			t.Fatalf("opts %+v: stats diverge: incremental %+v, full %+v", opts, inc.Stats(), full.Stats())
-		}
-		if len(inc.reach.bits) != len(full.reach.bits) {
-			t.Fatalf("opts %+v: closure matrix size mismatch", opts)
-		}
-		for i := range full.reach.bits {
-			if inc.reach.bits[i] != full.reach.bits[i] {
-				t.Fatalf("opts %+v: closure bits diverge at word %d", opts, i)
-			}
-		}
+		inc := assertMatchesReference(t, ps, opts)
 		// The conventional baseline derives everything from its total
 		// order in round 0; only the event-driven model must iterate.
 		if !opts.Conventional && inc.rounds < 3 {
@@ -103,9 +37,9 @@ var closureBenchSizes = []struct {
 	{"large", synth.Config{Chain: 8, EventsPer: 4, FreeThreads: 16, Burst: 8, BurstEvents: 48}},
 }
 
-// BenchmarkFixpointClosure compares the incremental fixpoint against
-// the full-recompute baseline on the same Prescan. The incremental
-// variant must be no slower on small traces and faster on large ones.
+// BenchmarkFixpointClosure compares the incremental exit×entry
+// fixpoint against the node-level full-recompute reference on the
+// same Prescan.
 func BenchmarkFixpointClosure(b *testing.B) {
 	for _, size := range closureBenchSizes {
 		tr := synth.Trace(size.cfg)
@@ -124,7 +58,7 @@ func BenchmarkFixpointClosure(b *testing.B) {
 		b.Run(size.name+"/full", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := buildFull(ps, Options{}); err != nil {
+				if _, err := buildRef(ps, Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,29 +25,36 @@ func (g *Graph) Explain(i, j int) []int {
 	if src < 0 || dst < 0 {
 		return nil
 	}
-	// BFS over reduced nodes.
-	prev := make([]int32, len(g.nodes))
-	for k := range prev {
-		prev[k] = -2
-	}
-	prev[src] = -1
+	// BFS over reduced nodes, enqueuing only nodes that reach dst.
+	// Every node on a src→dst path reaches dst, so the pruned search
+	// visits those nodes in the same order and returns the same path.
+	pp := g.prevScratch()
+	defer g.prevPool.Put(pp)
+	prev := *pp
 	queue := []int32{src}
-	for len(queue) > 0 && prev[dst] == -2 {
-		u := queue[0]
-		queue = queue[1:]
+	prev[src] = -1
+	for h := 0; h < len(queue) && prev[dst] == -2; h++ {
+		u := queue[h]
 		for _, w := range g.adj[u] {
-			if prev[w] == -2 {
+			if prev[w] == -2 && g.reachable(w, dst) {
 				prev[w] = u
 				queue = append(queue, w)
 			}
 		}
 	}
-	if prev[dst] == -2 {
-		return nil
-	}
+	found := prev[dst] != -2
 	var rev []int
-	for v := dst; v >= 0; v = prev[v] {
-		rev = append(rev, g.nodes[v].seq)
+	if found {
+		for v := dst; v >= 0; v = prev[v] {
+			rev = append(rev, g.nodes[v].seq)
+		}
+	}
+	// Only queued nodes were touched: reset them for the next call.
+	for _, v := range queue {
+		prev[v] = -2
+	}
+	if !found {
+		return nil
 	}
 	path := make([]int, 0, len(rev)+2)
 	if rev[len(rev)-1] != i {
@@ -60,6 +67,19 @@ func (g *Graph) Explain(i, j int) []int {
 		path = append(path, j)
 	}
 	return path
+}
+
+// prevScratch returns a BFS predecessor array with every entry -2
+// (unvisited), from the pool when one is free.
+func (g *Graph) prevScratch() *[]int32 {
+	if p, ok := g.prevPool.Get().(*[]int32); ok {
+		return p
+	}
+	prev := make([]int32, len(g.nodes))
+	for k := range prev {
+		prev[k] = -2
+	}
+	return &prev
 }
 
 // CommonAncestor returns the trace index of the nearest common causal

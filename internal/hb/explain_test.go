@@ -1,7 +1,9 @@
 package hb
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"cafa/internal/trace"
@@ -144,4 +146,33 @@ func TestCommonAncestorUnrelated(t *testing.T) {
 	if ca := g.CommonAncestor(w1, w2); ca != -1 {
 		t.Errorf("unrelated threads: ancestor = %d, want -1", ca)
 	}
+}
+
+// TestExplainConcurrent: Explain's pooled predecessor arrays are safe
+// to share across goroutines, and reuse leaves no stale state behind.
+func TestExplainConcurrent(t *testing.T) {
+	tr, _ := fuzzTrace(fuzzSeeds()[9])
+	g, err := Build(tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(tr.Entries)
+	want := make([][]int, n)
+	for i := range want {
+		want[i] = explainUnpruned(g, i, (i*7+n/2)%n)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range want {
+				if got := g.Explain(i, (i*7+n/2)%n); !slices.Equal(got, want[i]) {
+					t.Errorf("Explain(%d, %d) = %v, want %v", i, (i*7+n/2)%n, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -25,9 +25,20 @@
 // Because every rule only ever concludes orderings that actually held
 // in the traced execution, the happens-before relation is consistent
 // with trace order; the graph is a DAG whose topological order is the
-// entry sequence. The closure is computed over "reduced nodes" (task
-// begins/ends plus cross-edge endpoints); arbitrary operations resolve
-// through their nearest reduced anchors.
+// entry sequence. Its nodes are "reduced nodes" (task begins/ends plus
+// cross-edge endpoints); arbitrary operations resolve through their
+// nearest reduced anchors.
+//
+// The closure matrix keeps only the rows and columns where paths cross
+// tasks (see anchorIndex): one row per exit (task end or source of a
+// cross-task base edge) and one column per entry (task begin or target
+// of a cross-task base edge), about a quarter of the n² node matrix on
+// the app models. Within a task, reachability is program order; across
+// tasks, u reaches v iff the row of u's first exit at or after u has
+// the column of v's last entry at or before v. Every edge the
+// fixpoint adds runs end → begin, so the layout is fixed by the
+// prescan. The atomicity and queue rules scan closure rows a word at
+// a time and add edges in the order the per-pair loops would.
 //
 // The single trace scan (node collection plus model-independent base
 // edges) is factored into Scan/Prescan so the event-driven and
@@ -37,7 +48,9 @@ package hb
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"cafa/internal/obs"
 	"cafa/internal/trace"
@@ -88,20 +101,24 @@ type Graph struct {
 	// taskNodes holds node ids per task, ascending by seq.
 	taskNodes map[trace.TaskID][]int32
 	adj       [][]int32
-	reach     *bitmat
+	// ix is the Prescan's exit×entry layout; reach holds one row per
+	// exit and one column per entry.
+	ix    *anchorIndex
+	reach *bitmat
 
 	begins map[trace.TaskID]int32 // node id of begin(t)
 	ends   map[trace.TaskID]int32 // node id of end(t)
-	// queueSends lists sends per queue in trace order.
-	queueSends map[trace.QueueID][]sendInfo
-	// looperEvents lists events per looper in begin order.
-	looperEvents map[trace.TaskID][]trace.TaskID
 
 	// pending are edges added since the last closure; the next
 	// (incremental) closure round consumes them. changed is that
-	// round's per-node dirty scratch, reused across rounds.
+	// round's per-row dirty scratch and hits the queue scan's per-send
+	// scratch, both reused across rounds.
 	pending []edge
 	changed []bool
+	hits    []uint64
+
+	// prevPool recycles Explain's BFS predecessor arrays.
+	prevPool sync.Pool
 
 	rounds    int
 	baseEdges int
@@ -125,23 +142,22 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 		opts.MaxRounds = 64
 	}
 	g := &Graph{
-		tr:           ps.tr,
-		opts:         opts,
-		nodes:        ps.nodes,
-		taskNodes:    ps.taskNodes,
-		begins:       ps.begins,
-		ends:         ps.ends,
-		queueSends:   ps.queueSends,
-		looperEvents: ps.looperEvents,
+		tr:        ps.tr,
+		opts:      opts,
+		nodes:     ps.nodes,
+		taskNodes: ps.taskNodes,
+		ix:        ps.ix,
+		begins:    ps.begins,
+		ends:      ps.ends,
 	}
 	g.adj = make([][]int32, len(g.nodes))
-	for _, e := range ps.baseEdges {
-		g.adj[e.u] = append(g.adj[e.u], e.v)
-		g.baseEdges++
+	for u := range g.adj {
+		g.adj[u] = ps.baseSuccOf(u)
 	}
+	g.baseEdges = len(ps.baseSucc)
 	// Conventional baseline: total event order per looper.
 	if opts.Conventional {
-		for _, evs := range g.looperEvents {
+		for _, evs := range ps.looperEvents {
 			for i := 1; i < len(evs); i++ {
 				en, ok1 := g.ends[evs[i-1]]
 				b, ok2 := g.begins[evs[i]]
@@ -151,7 +167,7 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 			}
 		}
 	}
-	g.reach = newBitmat(len(g.nodes))
+	g.reach = newBitmat(len(g.ix.exits), len(g.ix.entries))
 	for round := 0; ; round++ {
 		if round >= opts.MaxRounds {
 			return nil, fmt.Errorf("hb: fixpoint did not converge in %d rounds", opts.MaxRounds)
@@ -191,7 +207,8 @@ func isReducedOp(op trace.Op) bool {
 
 // addEdge inserts u → v (u, v are node ids). Edges always point
 // forward in trace order; violations indicate a malformed trace and
-// are dropped.
+// are dropped. Every caller passes an end as u and a begin as v, so
+// the edge runs exit → entry and the anchor index stays valid.
 func (g *Graph) addEdge(u, v int32) bool {
 	if u < 0 || v < 0 || u == v {
 		return false
@@ -204,26 +221,49 @@ func (g *Graph) addEdge(u, v int32) bool {
 	return true
 }
 
-// closure computes the transitive-closure matrix in full. Nodes are
-// already in topological (trace) order, so one reverse sweep suffices.
+// closure computes every exit row in full. Exits are in topological
+// (trace) order, so one reverse sweep suffices. An exit's row is
+// itself (when it is also an entry) plus what each successor reaches.
 func (g *Graph) closure() {
-	g.reach.clear()
-	for i := len(g.nodes) - 1; i >= 0; i-- {
-		g.reach.set(i, i)
-		for _, w := range g.adj[i] {
-			g.reach.orInto(i, int(w))
+	ix := g.ix
+	for r := len(ix.exits) - 1; r >= 0; r-- {
+		x := ix.exits[r]
+		if ix.isEntry(x) {
+			g.reach.set(r, int(ix.entryAt[x]))
+		}
+		for _, w := range g.adj[x] {
+			g.orReach(r, w)
 		}
 	}
 }
 
+// orReach ors into row r the entries node w reaches — the entries of
+// w's task from w up to its first exit at or after w, then that
+// exit's row — and reports whether row r gained any bit. The exit
+// comes after w, so its row is final when the reverse sweeps call
+// this.
+func (g *Graph) orReach(r int, w int32) bool {
+	ix := g.ix
+	ch := false
+	for t := w; t >= 0; t = ix.next[t] {
+		if ix.isEntry(t) && g.reach.setChanged(r, int(ix.entryAt[t])) {
+			ch = true
+		}
+		if ix.isExit(t) {
+			return g.reach.orIntoChanged(r, int(ix.exitAt[t])) || ch
+		}
+	}
+	return ch
+}
+
 // incrementalClosure folds the pending edges into the closure matrix
-// without recomputing it. For a new edge u → v only u and nodes that
+// without recomputing it. For a new edge u → v only u and exits that
 // reach u can gain reachability, so one reverse sweep from the highest
 // pending source suffices: a row is re-ORed only when it has a pending
-// edge or a successor whose row just changed. Node ids ascend in trace
-// (= topological) order, so successors are always finalized first, and
-// because closure is monotone in the edge set the result is
-// bit-identical to a full recompute.
+// edge or a successor whose exit row just changed. Rows ascend in
+// trace (= topological) order, so successors are always finalized
+// first, and because closure is monotone in the edge set the result
+// is bit-identical to a full recompute.
 func (g *Graph) incrementalClosure() {
 	if len(g.pending) == 0 {
 		return
@@ -231,127 +271,157 @@ func (g *Graph) incrementalClosure() {
 	hWorklistLen.Observe(int64(len(g.pending)))
 	// Bucket the pending edges by descending source so the reverse
 	// sweep consumes them in order — no per-node lookup structure.
+	// Every pending source is an end, hence an exit.
 	slices.SortFunc(g.pending, func(a, b edge) int { return int(b.u) - int(a.u) })
-	maxSrc := int(g.pending[0].u)
-	if cap(g.changed) < maxSrc+1 {
-		g.changed = make([]bool, maxSrc+1)
+	ix := g.ix
+	maxRow := int(ix.exitAt[g.pending[0].u])
+	if cap(g.changed) < maxRow+1 {
+		g.changed = make([]bool, maxRow+1)
 	}
-	changed := g.changed[:maxSrc+1]
+	changed := g.changed[:maxRow+1]
 	clear(changed)
 	k := 0
-	for i := maxSrc; i >= 0; i-- {
+	for r := maxRow; r >= 0; r-- {
+		x := ix.exits[r]
 		ch := false
-		for ; k < len(g.pending) && int(g.pending[k].u) == i; k++ {
-			if g.reach.orIntoChanged(i, int(g.pending[k].v)) {
+		for ; k < len(g.pending) && g.pending[k].u == x; k++ {
+			if g.orReach(r, g.pending[k].v) {
 				ch = true
 			}
 		}
-		for _, w := range g.adj[i] {
-			if int(w) <= maxSrc && changed[w] && g.reach.orIntoChanged(i, int(w)) {
+		for _, w := range g.adj[x] {
+			if s := int(ix.exitAt[w]); s >= 0 && s <= maxRow && changed[s] && g.reach.orIntoChanged(r, s) {
 				ch = true
 			}
 		}
-		changed[i] = ch
+		changed[r] = ch
 	}
 	g.pending = g.pending[:0]
 }
 
-// reachable reports node-level reachability (reflexive).
+// reachable reports node-level reachability (reflexive): program order
+// within a task; across tasks, the row of u's next exit at the column
+// of v's last entry.
 func (g *Graph) reachable(u, v int32) bool {
-	return g.reach.get(int(u), int(v))
+	if g.nodes[u].task == g.nodes[v].task {
+		return u <= v
+	}
+	r, c := g.ix.exitAt[u], g.ix.entryAt[v]
+	return r >= 0 && c >= 0 && g.reach.get(int(r), int(c))
 }
 
 // applyDerivedRules applies the atomicity rule and the four event
-// queue rules, returning whether any new edge was added. The pair
-// loops are quadratic in events-per-looper and sends-per-queue, so
-// the begin/end node ids are resolved into flat arrays up front —
-// each pair test is then one or two bit probes.
+// queue rules, returning whether any new edge was added. Both scan
+// closure rows a word at a time instead of testing every pair, and
+// visit the pairs that fire in the order the pair loops would (per
+// looper by ascending i then j, per queue by ascending a then b), so
+// adjacency lists and Stats do not depend on the scan. Conditions
+// read the closure as of the round's start; an edge added earlier in
+// the round does not change a later test.
 func (g *Graph) applyDerivedRules() bool {
 	added := false
-	// Atomicity rule: events of one looper, in execution order.
-	for _, evs := range g.looperEvents {
-		type be struct{ b, e int32 }
-		nodes := make([]be, len(evs))
-		for i, ev := range evs {
-			nodes[i] = be{b: -1, e: -1}
-			if b, ok := g.begins[ev]; ok {
-				nodes[i].b = b
-			}
-			if e, ok := g.ends[ev]; ok {
-				nodes[i].e = e
-			}
-		}
-		for i := 0; i < len(nodes); i++ {
-			bi, ei := nodes[i].b, nodes[i].e
-			if bi < 0 || ei < 0 {
+	ix := g.ix
+	// Atomicity rule: begin(i) ≺ end(j) ⇒ end(i) ≺ begin(j) for events
+	// i < j of one looper. For a simple j both sides read column
+	// col(begin(j)), so the pairs that fire for i are (antecedent row
+	// &^ consequent row) & simple, from i's column on. Events with an
+	// internal entry keep a per-pair antecedent test.
+	for li := range ix.loopers {
+		lr := &ix.loopers[li]
+		for _, ev := range lr.events {
+			ra, rc := ix.exitAt[ev.begin], ix.exitAt[ev.end]
+			if ra < 0 || (ra == rc && !lr.hasInner) {
 				continue
 			}
-			reachRow := g.reach.row(int(bi))
-			for j := i + 1; j < len(nodes); j++ {
-				ej, bj := nodes[j].e, nodes[j].b
-				if ej < 0 || bj < 0 {
-					continue
+			ante, cons := g.reach.row(int(ra)), g.reach.row(int(rc))
+			start := int(ev.col) + 1
+			w0 := max(start/64, lr.lo)
+			for w := w0; w < lr.lo+len(lr.simple); w++ {
+				inner := lr.inner[w-lr.lo]
+				m := lr.simple[w-lr.lo]&(ante[w]&^cons[w]) | inner&^cons[w]
+				if w == start/64 {
+					m &= ^uint64(0) << (uint(start) % 64)
 				}
-				if reachRow[ej/64]&(1<<(uint(ej)%64)) != 0 && !g.reachable(ei, bj) {
-					if g.addEdge(ei, bj) {
-						g.ruleEdges++
-						added = true
+				for ; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros64(m)
+					c := w*64 + b
+					if inner&(1<<uint(b)) != 0 && !g.reach.get(int(ra), int(ix.entryAt[ix.colEnd[c]])) {
+						continue
 					}
+					g.addRule(ev.end, ix.entries[c], &added)
 				}
 			}
 		}
 	}
 	// Event queue rules over ordered sends to the same queue. The
-	// begin/end node ids of each send's event are resolved once per
-	// queue; the pair loop runs every round and must stay map-free.
-	for _, sends := range g.queueSends {
-		begins := make([]int32, len(sends))
-		ends := make([]int32, len(sends))
-		for i, si := range sends {
-			begins[i], ends[i] = -1, -1
-			if b, ok := g.begins[si.event]; ok {
-				begins[i] = b
+	// sends b that a's send reaches are a's later sends from the same
+	// task plus those whose entry column is set in a's exit row.
+	for qi := range ix.queues {
+		qr := &ix.queues[qi]
+		hit := g.hitScratch(len(qr.sends))
+		for ai := range qr.sends {
+			a := qr.sends[ai]
+			for b := qr.own[ai]; b >= 0; b = qr.own[b] {
+				hit[b/64] |= 1 << (uint(b) % 64)
 			}
-			if e, ok := g.ends[si.event]; ok {
-				ends[i] = e
+			if r := ix.exitAt[a.node]; r >= 0 && len(qr.mask) > 0 {
+				row := g.reach.row(int(r))
+				for w := max(ix.firstColFrom(ix.exits[r])/64, qr.lo); w < qr.lo+len(qr.mask); w++ {
+					for m := row[w] & qr.mask[w-qr.lo]; m != 0; m &= m - 1 {
+						k, _ := slices.BinarySearch(qr.cols, int32(w*64+bits.TrailingZeros64(m)))
+						for _, b := range qr.sendIdx[qr.at[k]:qr.at[k+1]] {
+							hit[b/64] |= 1 << (uint(b) % 64)
+						}
+					}
+				}
 			}
-		}
-		for ai := 0; ai < len(sends); ai++ {
-			a := sends[ai]
-			reachRow := g.reach.row(int(a.node))
-			for bi := ai + 1; bi < len(sends); bi++ {
-				b := sends[bi]
-				if a.event == b.event {
-					continue
-				}
-				if reachRow[b.node/64]&(1<<(uint(b.node)%64)) == 0 {
-					continue
-				}
-				// a's send happens-before b's send.
-				switch {
-				case !a.front && !b.front:
-					// Rule 1: delays must satisfy d1 <= d2.
-					if a.delay <= b.delay {
-						g.orderNodes(ends[ai], begins[bi], &added)
-					}
-				case a.front && !b.front:
-					// Rule 3: sendAtFront(e1) ≺ send(e2) ⇒ e1 ≺ e2.
-					g.orderNodes(ends[ai], begins[bi], &added)
-				case !a.front && b.front:
-					// Rule 2: additionally needs sendAtFront(e2) ≺ begin(e1).
-					if be := begins[ai]; be >= 0 && g.reachable(b.node, be) {
-						g.orderNodes(ends[bi], begins[ai], &added)
-					}
-				case a.front && b.front:
-					// Rule 4: same condition as rule 2.
-					if be := begins[ai]; be >= 0 && g.reachable(b.node, be) {
-						g.orderNodes(ends[bi], begins[ai], &added)
+			for w := ai / 64; w < len(hit); w++ {
+				m := hit[w]
+				hit[w] = 0
+				for ; m != 0; m &= m - 1 {
+					if bi := w*64 + bits.TrailingZeros64(m); bi > ai {
+						g.applyQueueRules(qr, ai, bi, &added)
 					}
 				}
 			}
 		}
 	}
 	return added
+}
+
+// hitScratch returns a zeroed per-send bitset for a queue of n sends.
+func (g *Graph) hitScratch(n int) []uint64 {
+	words := (n + 63) / 64
+	if cap(g.hits) < words {
+		g.hits = make([]uint64, words)
+	}
+	g.hits = g.hits[:words]
+	clear(g.hits)
+	return g.hits
+}
+
+// applyQueueRules applies rules 1–4 to sends ai ≺ bi of one queue.
+func (g *Graph) applyQueueRules(qr *queueRule, ai, bi int, added *bool) {
+	a, b := qr.sends[ai], qr.sends[bi]
+	if a.event == b.event {
+		return
+	}
+	switch {
+	case !a.front && !b.front:
+		// Rule 1: delays must satisfy d1 <= d2.
+		if a.delay <= b.delay {
+			g.orderNodes(qr.ends[ai], qr.begins[bi], added)
+		}
+	case a.front && !b.front:
+		// Rule 3: sendAtFront(e1) ≺ send(e2) ⇒ e1 ≺ e2.
+		g.orderNodes(qr.ends[ai], qr.begins[bi], added)
+	default:
+		// Rules 2 (send, sendAtFront) and 4 (sendAtFront,
+		// sendAtFront): additionally need sendAtFront(e2) ≺ begin(e1).
+		if be := qr.begins[ai]; be >= 0 && g.reachable(b.node, be) {
+			g.orderNodes(qr.ends[bi], qr.begins[ai], added)
+		}
+	}
 }
 
 // orderNodes adds end(e1) → begin(e2) by pre-resolved node ids (-1 =
@@ -363,6 +433,11 @@ func (g *Graph) orderNodes(en, b int32, added *bool) {
 	if g.reachable(en, b) {
 		return
 	}
+	g.addRule(en, b, added)
+}
+
+// addRule inserts a derived edge.
+func (g *Graph) addRule(en, b int32, added *bool) {
 	if g.addEdge(en, b) {
 		g.ruleEdges++
 		*added = true

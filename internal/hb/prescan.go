@@ -2,6 +2,7 @@ package hb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cafa/internal/trace"
@@ -17,8 +18,8 @@ type edge struct {
 // arg holds the one cross-edge operand the node's op uses (target
 // task, monitor, listener, or transaction id).
 type redOp struct {
-	op  trace.Op
 	arg uint64
+	op  trace.Op
 	ext bool // OpBegin only: external event
 }
 
@@ -43,10 +44,16 @@ type Prescan struct {
 	// looperEvents lists events per looper in begin order.
 	looperEvents map[trace.TaskID][]trace.TaskID
 
-	// baseEdges are the model-independent base edges (every rule group
-	// except the conventional looper total order, which only the
-	// baseline model adds).
+	// baseSucc lists the model-independent base edges (every rule
+	// group except the conventional looper total order, which only the
+	// baseline model adds) by source, in derivation order: node u's
+	// successors are baseSucc[baseOff[u]:baseOff[u+1]]. baseEdges
+	// collects them during Finish and is released after.
+	baseOff   []int32
+	baseSucc  []int32
 	baseEdges []edge
+	// ix is the exit×entry layout both models' closures share.
+	ix *anchorIndex
 }
 
 // Scan performs the shared single pass over the trace: reduced-node
@@ -55,6 +62,14 @@ type Prescan struct {
 // trace.
 func Scan(tr *trace.Trace) (*Prescan, error) {
 	sc := NewScanner(tr)
+	reduced := 0
+	for i := range tr.Entries {
+		if isReducedOp(tr.Entries[i].Op) {
+			reduced++
+		}
+	}
+	sc.ps.nodes = make([]node, 0, reduced)
+	sc.ps.redOps = make([]redOp, 0, reduced)
 	for i := range tr.Entries {
 		if err := sc.Consume(&tr.Entries[i]); err != nil {
 			return nil, err
@@ -136,10 +151,36 @@ func (s *Scanner) Consume(e *trace.Entry) error {
 // Entries returns how many entries have been consumed.
 func (s *Scanner) Entries() int { return s.i }
 
-// Finish derives the base edges and returns the sealed Prescan.
+// Finish derives the base edges and the anchor index and returns the
+// sealed Prescan.
 func (s *Scanner) Finish() *Prescan {
-	s.ps.collectBaseEdges()
-	return s.ps
+	ps := s.ps
+	ps.collectBaseEdges()
+	ps.redOps = nil // only the base-edge pass reads them
+	ps.baseOff = make([]int32, len(ps.nodes)+1)
+	for _, e := range ps.baseEdges {
+		ps.baseOff[e.u+1]++
+	}
+	for u := range ps.nodes {
+		ps.baseOff[u+1] += ps.baseOff[u]
+	}
+	ps.baseSucc = make([]int32, len(ps.baseEdges))
+	fill := slices.Clone(ps.baseOff[:len(ps.nodes)])
+	for _, e := range ps.baseEdges {
+		ps.baseSucc[fill[e.u]] = e.v
+		fill[e.u]++
+	}
+	ps.baseEdges = nil
+	ps.ix = ps.buildAnchorIndex()
+	return ps
+}
+
+// baseSuccOf returns node u's base-edge successors. The slice is
+// capped at its length, so a graph that appends to it gets a copy and
+// the shared Prescan is never written.
+func (ps *Prescan) baseSuccOf(u int) []int32 {
+	lo, hi := ps.baseOff[u], ps.baseOff[u+1]
+	return ps.baseSucc[lo:hi:hi]
 }
 
 // addBase records u → v in the shared base-edge list. Edges always

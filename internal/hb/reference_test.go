@@ -1,0 +1,217 @@
+package hb
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// refGraph is the node-level reference engine: one closure row and
+// column per reduced node, recomputed in full every round, and the
+// atomicity and queue rules as per-pair loops. It is the
+// straightforward form of the fixpoint Graph computes over its
+// exit×entry layout, kept as the oracle for it.
+type refGraph struct {
+	ps    *Prescan
+	adj   [][]int32
+	reach *bitmat
+
+	rounds    int
+	baseEdges int
+	ruleEdges int
+}
+
+// buildRef runs the reference fixpoint over a Prescan.
+func buildRef(ps *Prescan, opts Options) (*refGraph, error) {
+	if opts.MaxRounds <= 0 {
+		opts.MaxRounds = 64
+	}
+	g := &refGraph{ps: ps, adj: make([][]int32, len(ps.nodes))}
+	for u := range g.adj {
+		g.adj[u] = slices.Clone(ps.baseSuccOf(u))
+		g.baseEdges += len(g.adj[u])
+	}
+	if opts.Conventional {
+		for _, lo := range sortedKeys(ps.looperEvents) {
+			evs := ps.looperEvents[lo]
+			for i := 1; i < len(evs); i++ {
+				en, ok1 := ps.ends[evs[i-1]]
+				b, ok2 := ps.begins[evs[i]]
+				if ok1 && ok2 && g.addEdge(en, b) {
+					g.baseEdges++
+				}
+			}
+		}
+	}
+	for round := 0; ; round++ {
+		if round >= opts.MaxRounds {
+			return nil, fmt.Errorf("hb: fixpoint did not converge in %d rounds", opts.MaxRounds)
+		}
+		g.rounds = round + 1
+		g.reach = nodeClosure(g.adj)
+		if !g.applyDerivedRules() {
+			break
+		}
+	}
+	return g, nil
+}
+
+// nodeClosure computes the node-level transitive closure of a DAG
+// whose node ids are a topological order.
+func nodeClosure(adj [][]int32) *bitmat {
+	m := newBitmat(len(adj), len(adj))
+	for i := len(adj) - 1; i >= 0; i-- {
+		m.set(i, i)
+		for _, w := range adj[i] {
+			m.orInto(i, int(w))
+		}
+	}
+	return m
+}
+
+// orInto ors row src into row dst.
+func (m *bitmat) orInto(dst, src int) {
+	d := m.row(dst)
+	s := m.row(src)
+	for k := range d {
+		d[k] |= s[k]
+	}
+}
+
+func (g *refGraph) addEdge(u, v int32) bool {
+	if u < 0 || v < 0 || u == v || g.ps.nodes[u].seq >= g.ps.nodes[v].seq {
+		return false
+	}
+	g.adj[u] = append(g.adj[u], v)
+	return true
+}
+
+func (g *refGraph) reachable(u, v int32) bool { return g.reach.get(int(u), int(v)) }
+
+func (g *refGraph) orderNodes(en, b int32, added *bool) {
+	if en < 0 || b < 0 || g.reachable(en, b) {
+		return
+	}
+	if g.addEdge(en, b) {
+		g.ruleEdges++
+		*added = true
+	}
+}
+
+func (g *refGraph) applyDerivedRules() bool {
+	ps := g.ps
+	added := false
+	for _, lo := range sortedKeys(ps.looperEvents) {
+		evs := ps.looperEvents[lo]
+		for i := range evs {
+			bi, ok1 := ps.begins[evs[i]]
+			ei, ok2 := ps.ends[evs[i]]
+			if !ok1 || !ok2 {
+				continue
+			}
+			for j := i + 1; j < len(evs); j++ {
+				bj, ok1 := ps.begins[evs[j]]
+				ej, ok2 := ps.ends[evs[j]]
+				if !ok1 || !ok2 {
+					continue
+				}
+				if g.reachable(bi, ej) && !g.reachable(ei, bj) && g.addEdge(ei, bj) {
+					g.ruleEdges++
+					added = true
+				}
+			}
+		}
+	}
+	for _, q := range sortedKeys(ps.queueSends) {
+		sends := ps.queueSends[q]
+		beginOf := func(i int) int32 {
+			if b, ok := ps.begins[sends[i].event]; ok {
+				return b
+			}
+			return -1
+		}
+		endOf := func(i int) int32 {
+			if e, ok := ps.ends[sends[i].event]; ok {
+				return e
+			}
+			return -1
+		}
+		for ai, a := range sends {
+			for bi := ai + 1; bi < len(sends); bi++ {
+				b := sends[bi]
+				if a.event == b.event || !g.reachable(a.node, b.node) {
+					continue
+				}
+				switch {
+				case !a.front && !b.front:
+					if a.delay <= b.delay {
+						g.orderNodes(endOf(ai), beginOf(bi), &added)
+					}
+				case a.front && !b.front:
+					g.orderNodes(endOf(ai), beginOf(bi), &added)
+				default:
+					if be := beginOf(ai); be >= 0 && g.reachable(b.node, be) {
+						g.orderNodes(endOf(bi), be, &added)
+					}
+				}
+			}
+		}
+	}
+	return added
+}
+
+func (g *refGraph) stats() Stats {
+	return Stats{
+		Entries:   g.ps.tr.Len(),
+		Nodes:     len(g.ps.nodes),
+		BaseEdges: g.baseEdges,
+		RuleEdges: g.ruleEdges,
+		Rounds:    g.rounds,
+	}
+}
+
+// assertReachMatches requires g.reachable to agree with a node-level
+// closure on every node pair.
+func assertReachMatches(t testing.TB, g *Graph, want *bitmat) {
+	t.Helper()
+	for u := range g.nodes {
+		for v := range g.nodes {
+			if got, w := g.reachable(int32(u), int32(v)), want.get(u, v); got != w {
+				t.Fatalf("reachable(%d, %d) = %v, node-level closure says %v", u, v, got, w)
+			}
+		}
+	}
+}
+
+// assertClosureExact checks g's exit×entry closure, after incremental
+// rounds, against a from-scratch node-level closure over g's final
+// edge set.
+func assertClosureExact(t testing.TB, g *Graph) {
+	t.Helper()
+	assertReachMatches(t, g, nodeClosure(g.adj))
+}
+
+// assertMatchesReference builds ps with Graph and with the reference
+// engine and requires identical Stats, identical adjacency lists
+// (order included) and identical reachability.
+func assertMatchesReference(t testing.TB, ps *Prescan, opts Options) *Graph {
+	t.Helper()
+	g, err := BuildFromScan(ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := buildRef(ps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Stats() != ref.stats() {
+		t.Fatalf("opts %+v: stats %+v, reference %+v", opts, g.Stats(), ref.stats())
+	}
+	for u := range g.adj {
+		if !slices.Equal(g.adj[u], ref.adj[u]) {
+			t.Fatalf("opts %+v: adj[%d] = %v, reference %v", opts, u, g.adj[u], ref.adj[u])
+		}
+	}
+	assertReachMatches(t, g, ref.reach)
+	return g
+}

@@ -222,6 +222,10 @@ type orderEngine struct {
 	nodes map[nodeRef]int
 	refs  []nodeRef
 	out   [][]orderEdge
+
+	// regSites maps a callback to its register sites (nil until
+	// registerSites first runs).
+	regSites map[trace.MethodID][]nodeRef
 }
 
 func newOrderEngine(cg *CallGraph, roots map[trace.MethodID]int) *orderEngine {
@@ -444,6 +448,16 @@ func (e *orderEngine) computeMult(mid trace.MethodID) multState {
 			n += 2
 			break
 		}
+		// A fire invokes the callback once per registration, so a
+		// listener entry is one activation only when the callback has
+		// a single register site and that site runs once.
+		if ed.Kind == KindListener {
+			regs := e.registerSites()[mid]
+			if len(regs) != 1 || !e.siteRunsOnce(regs[0].method, regs[0].pc) {
+				n += 2
+				break
+			}
+		}
 		n++
 	}
 	if n == 1 {
@@ -502,6 +516,20 @@ func (e *orderEngine) uniqueEntry(mid trace.MethodID) (Edge, bool) {
 func (e *orderEngine) siteRunsOnce(mid trace.MethodID, pc int) bool {
 	a := e.anchorSite(mid, pc)
 	return a.ok && a.once && e.multOf(a.event) == multOnce
+}
+
+// onEveryReturnPath: pc dominates every return of the method, so an
+// instance that ends has executed it. A join site must pass this
+// before its edge is chained through the site's po edge to end(E).
+func (e *orderEngine) onEveryReturnPath(mid trace.MethodID, pc int) bool {
+	m := e.cg.methods[mid]
+	dom := e.domOf(mid)
+	for r := range m.Code {
+		if c := m.Code[r].Code; (c == dvm.CReturn || c == dvm.CReturnVoid) && !dom[r][pc] {
+			return false
+		}
+	}
+	return true
 }
 
 func (e *orderEngine) build() {
@@ -586,7 +614,7 @@ func (e *orderEngine) build() {
 			if !ok || ue.Caller != m.ID || ue.PC != trace.PC(fsite) || ue.Kind != KindFork {
 				continue
 			}
-			if !e.siteRunsOnce(m.ID, int(fsite)) {
+			if !e.siteRunsOnce(m.ID, int(fsite)) || !e.onEveryReturnPath(m.ID, pc) {
 				continue
 			}
 			end := e.node(nodeRef{kind: nEnd, method: callee})
@@ -599,13 +627,13 @@ func (e *orderEngine) build() {
 	e.buildFIFOEdges()
 }
 
-// buildListenerEdges adds register-before-callback edges: every
-// callback activation follows a fire that found it registered, hence
-// follows its one registration site. Lint-only — uninstrumented
-// listener ids leave no register/perform entries in recorded traces,
-// so the dynamic model cannot confirm the order.
-func (e *orderEngine) buildListenerEdges() {
-	regSites := make(map[trace.MethodID][]nodeRef)
+// registerSites returns the reachable register sites of every
+// callback, computed once.
+func (e *orderEngine) registerSites() map[trace.MethodID][]nodeRef {
+	if e.regSites != nil {
+		return e.regSites
+	}
+	e.regSites = make(map[trace.MethodID][]nodeRef)
 	for _, m := range e.cg.Prog.Methods {
 		r := e.cg.Reach[m.ID]
 		for pc := range m.Code {
@@ -617,10 +645,20 @@ func (e *orderEngine) buildListenerEdges() {
 			if !ok {
 				continue // poisons every handle-taken method via Unresolved
 			}
-			regSites[callee.ID] = append(regSites[callee.ID],
+			e.regSites[callee.ID] = append(e.regSites[callee.ID],
 				nodeRef{kind: nSite, method: m.ID, pc: pc})
 		}
 	}
+	return e.regSites
+}
+
+// buildListenerEdges adds register-before-callback edges: every
+// callback activation follows a fire that found it registered, hence
+// follows its one registration site. Lint-only — uninstrumented
+// listener ids leave no register/perform entries in recorded traces,
+// so the dynamic model cannot confirm the order.
+func (e *orderEngine) buildListenerEdges() {
+	regSites := e.registerSites()
 	for _, m := range e.cg.Prog.Methods {
 		cb := m.ID
 		if !e.isEvent(cb) || e.cg.Unresolved[cb] || e.roots[cb] > 0 || len(e.entries[cb]) == 0 {

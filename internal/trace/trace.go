@@ -169,7 +169,9 @@ func NewValidator(header *Trace) *Validator {
 }
 
 // Entry checks the next entry in sequence; messages are identical to
-// the batch Validate.
+// the batch Validate. Messages format e.String() rather than e: passing
+// the pointer to fmt would make it escape, moving a streaming caller's
+// by-value entry to the heap on every call.
 func (v *Validator) Entry(e *Entry) error {
 	tr, i := v.tr, v.i
 	v.i++
@@ -177,13 +179,13 @@ func (v *Validator) Entry(e *Entry) error {
 		return fmt.Errorf("trace: entry %d: invalid op %d", i, uint8(e.Op))
 	}
 	if e.Task == NoTask {
-		return fmt.Errorf("trace: entry %d (%s): zero task id", i, e)
+		return fmt.Errorf("trace: entry %d (%s): zero task id", i, e.String())
 	}
 	if _, ok := tr.Tasks[e.Task]; !ok {
-		return fmt.Errorf("trace: entry %d (%s): task t%d not declared", i, e, e.Task)
+		return fmt.Errorf("trace: entry %d (%s): task t%d not declared", i, e.String(), e.Task)
 	}
 	if e.Time < v.lastTime {
-		return fmt.Errorf("trace: entry %d (%s): time goes backwards (%d < %d)", i, e, e.Time, v.lastTime)
+		return fmt.Errorf("trace: entry %d (%s): time goes backwards (%d < %d)", i, e.String(), e.Time, v.lastTime)
 	}
 	v.lastTime = e.Time
 
@@ -208,22 +210,22 @@ func (v *Validator) Entry(e *Entry) error {
 		st.ended = true
 	default:
 		if !st.begun {
-			return fmt.Errorf("trace: entry %d (%s): operation before begin of %s", i, e, tr.TaskName(e.Task))
+			return fmt.Errorf("trace: entry %d (%s): operation before begin of %s", i, e.String(), tr.TaskName(e.Task))
 		}
 		if st.ended {
-			return fmt.Errorf("trace: entry %d (%s): operation after end of %s", i, e, tr.TaskName(e.Task))
+			return fmt.Errorf("trace: entry %d (%s): operation after end of %s", i, e.String(), tr.TaskName(e.Task))
 		}
 	}
 	switch e.Op {
 	case OpFork, OpSend, OpSendAtFront:
 		if e.Target == NoTask {
-			return fmt.Errorf("trace: entry %d (%s): zero target", i, e)
+			return fmt.Errorf("trace: entry %d (%s): zero target", i, e.String())
 		}
 		if tst := v.states[e.Target]; tst != nil && tst.begun {
-			return fmt.Errorf("trace: entry %d (%s): target t%d already began", i, e, e.Target)
+			return fmt.Errorf("trace: entry %d (%s): target t%d already began", i, e.String(), e.Target)
 		}
 		if prev, dup := v.created[e.Target]; dup {
-			return fmt.Errorf("trace: entry %d (%s): task t%d created twice (first at %d)", i, e, e.Target, prev)
+			return fmt.Errorf("trace: entry %d (%s): task t%d created twice (first at %d)", i, e.String(), e.Target, prev)
 		}
 		v.created[e.Target] = i
 	}
