@@ -119,22 +119,18 @@ type Result struct {
 	// Evidence is the provenance collector attached to the detector
 	// run, populated when Options.Evidence is set (nil otherwise).
 	Evidence *provenance.Collector
-	// Stacks are the call stacks captured at each use's deref and each
-	// free during a streaming analysis, keyed by trace index. Nil for
-	// batch results, where report rendering reconstructs stacks from
-	// the materialized trace via detect.CallStack.
+	// Stacks are the call stacks at each race's use deref and free,
+	// keyed by trace index, filled once per result: batch analysis
+	// sweeps the trace once with detect.RaceStacks, and streaming
+	// analysis captures them (at every use and free) as entries pass.
 	Stacks map[int][]trace.MethodID
 }
 
-// StackAt returns the call stack at trace index idx: the stack
-// captured during streaming when present, otherwise reconstructed
-// from the materialized trace. Report rendering goes through this so
-// batch and streaming runs emit identical context lines.
+// StackAt returns the call stack at trace index idx from Stacks.
+// Report rendering goes through this so batch and streaming runs emit
+// identical context lines.
 func (r *Result) StackAt(idx int) []trace.MethodID {
-	if r.Stacks != nil {
-		return r.Stacks[idx]
-	}
-	return detect.CallStack(r.Trace, idx)
+	return r.Stacks[idx]
 }
 
 // Pipeline is a reusable analyzer. The zero value is ready to use;
@@ -254,6 +250,10 @@ func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error
 	}
 	spDet := sp.Child("detect")
 	res, err := detect.Detect(in, p.opts.Detect)
+	var stacks map[int][]trace.MethodID
+	if err == nil {
+		stacks = detect.RaceStacks(tr, res.Races)
+	}
 	spDet.End()
 	if err != nil {
 		cTraceErrors.Inc()
@@ -270,6 +270,7 @@ func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error
 		Locks:        ls,
 		Static:       st,
 		Evidence:     col,
+		Stacks:       stacks,
 	}
 	if p.opts.Naive {
 		spN := sp.Child("detect.naive")

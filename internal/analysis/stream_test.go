@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cafa/internal/apps"
-	"cafa/internal/detect"
 	"cafa/internal/synth"
 	"cafa/internal/trace"
 )
@@ -26,8 +25,7 @@ func encodeBoth(t testing.TB, tr *trace.Trace) (bin, txt []byte) {
 
 // assertStreamMatchesBatch runs the streaming pipeline over both
 // encodings of tr and requires bit-identical results versus batch
-// Analyze, including the captured call stacks versus the batch-mode
-// reconstruction.
+// Analyze, including the call stacks at every race.
 func assertStreamMatchesBatch(t *testing.T, tr *trace.Trace, opts Options) {
 	t.Helper()
 	want, err := Analyze(tr, opts)
@@ -59,17 +57,18 @@ func assertStreamMatchesBatch(t *testing.T, tr *trace.Trace, opts Options) {
 		if got.Trace.Len() != tr.Len() {
 			t.Errorf("%s: Len() = %d, want %d", name, got.Trace.Len(), tr.Len())
 		}
-		// Captured stacks must match what batch rendering would
-		// reconstruct at every index report rendering queries.
+		// Batch and stream fill Stacks differently (one sweep over
+		// the races versus capture at every use and free); they must
+		// agree on every index report rendering queries.
 		for _, r := range want.Races {
 			for _, idx := range []int{r.Use.DerefIdx, r.Free.Idx} {
-				ws := detect.CallStack(tr, idx)
-				gs, ok := got.Stacks[idx]
-				if !ok {
-					t.Errorf("%s: no captured stack for idx %d", name, idx)
+				ws, wok := want.Stacks[idx]
+				gs, gok := got.Stacks[idx]
+				if !wok || !gok {
+					t.Errorf("%s: stack for idx %d: batch has %v, stream has %v", name, idx, wok, gok)
 					continue
 				}
-				if !reflect.DeepEqual(gs, ws) && !(len(gs) == 0 && len(ws) == 0) {
+				if !reflect.DeepEqual(gs, ws) {
 					t.Errorf("%s: stack at %d: stream %v, batch %v", name, idx, gs, ws)
 				}
 			}

@@ -2,9 +2,11 @@ package detect
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"cafa/internal/apps"
 	"cafa/internal/asm"
 	"cafa/internal/dvm"
 	"cafa/internal/sim"
@@ -54,12 +56,12 @@ func TestCallStackReconstruction(t *testing.T) {
 	if readIdx < 0 {
 		t.Fatal("no pointer read in trace")
 	}
-	stack := CallStack(col.T, readIdx)
+	stack := stackAt(col.T, readIdx)
 	got := FormatStack(col.T, stack)
 	if !strings.Contains(got, "mid") || !strings.HasSuffix(got, "leaf") {
 		t.Errorf("stack = %q, want ... mid > leaf", got)
 	}
-	if CallStack(col.T, -1) != nil {
+	if stackAt(col.T, -1) != nil {
 		t.Error("out-of-range index should yield nil")
 	}
 	if FormatStack(col.T, nil) == "" {
@@ -90,7 +92,7 @@ func TestCallStackEdgeCases(t *testing.T) {
 		tr.Methods[7] = "handler"
 		tr.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 		idx := tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1, Method: 7})
-		stack := CallStack(tr, idx)
+		stack := stackAt(tr, idx)
 		if len(stack) != 1 || stack[0] != 7 {
 			t.Fatalf("stack = %v, want just the entry's own method", stack)
 		}
@@ -103,7 +105,7 @@ func TestCallStackEdgeCases(t *testing.T) {
 		tr := trace.New()
 		tr.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 		idx := tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1})
-		if got := FormatStack(tr, CallStack(tr, idx)); got != "(no context)" {
+		if got := FormatStack(tr, stackAt(tr, idx)); got != "(no context)" {
 			t.Errorf("FormatStack = %q, want placeholder", got)
 		}
 	})
@@ -118,7 +120,7 @@ func TestCallStackEdgeCases(t *testing.T) {
 		tr.Append(trace.Entry{Task: 1, Op: trace.OpInvoke, Method: 2})
 		tr.Append(trace.Entry{Task: 1, Op: trace.OpInvoke, Method: 3})
 		idx := tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1, Method: 3})
-		got := FormatStack(tr, CallStack(tr, idx))
+		got := FormatStack(tr, stackAt(tr, idx))
 		if got != "outer > mid > inner" {
 			t.Errorf("FormatStack = %q, want %q", got, "outer > mid > inner")
 		}
@@ -127,7 +129,7 @@ func TestCallStackEdgeCases(t *testing.T) {
 		tr2.Methods[4] = "late"
 		tr2.Append(trace.Entry{Task: 1, Op: trace.OpReturn})
 		idx2 := tr2.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1, Method: 4})
-		if got := FormatStack(tr2, CallStack(tr2, idx2)); got != "late" {
+		if got := FormatStack(tr2, stackAt(tr2, idx2)); got != "late" {
 			t.Errorf("FormatStack after stray return = %q, want %q", got, "late")
 		}
 	})
@@ -142,7 +144,7 @@ func TestCallStackEdgeCases(t *testing.T) {
 			tr.Append(trace.Entry{Task: 1, Op: trace.OpInvoke, Method: m})
 		}
 		idx := tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1, Method: trace.MethodID(depth)})
-		stack := CallStack(tr, idx)
+		stack := stackAt(tr, idx)
 		if len(stack) != depth {
 			t.Fatalf("stack depth = %d, want %d", len(stack), depth)
 		}
@@ -157,4 +159,137 @@ func TestCallStackEdgeCases(t *testing.T) {
 			t.Errorf("FormatStack = %q, must keep the innermost frame", got)
 		}
 	})
+}
+
+// stackAt is the stack at one index through CallStacks.
+func stackAt(tr *trace.Trace, idx int) []trace.MethodID {
+	return CallStacks(tr, []int{idx})[idx]
+}
+
+// callStackRef is the per-index walk CallStacks replaced: it rescans
+// the trace from entry 0 for every index. It is the reference the
+// one-sweep reconstruction must match.
+func callStackRef(tr *trace.Trace, idx int) []trace.MethodID {
+	if idx < 0 || idx >= len(tr.Entries) {
+		return nil
+	}
+	task := tr.Entries[idx].Task
+	var stack []trace.MethodID
+	for i := 0; i < idx; i++ {
+		e := &tr.Entries[i]
+		if e.Task != task {
+			continue
+		}
+		switch e.Op {
+		case trace.OpInvoke:
+			stack = append(stack, e.Method)
+		case trace.OpReturn:
+			if len(stack) > 0 {
+				stack = stack[:len(stack)-1]
+			}
+		}
+	}
+	if m := tr.Entries[idx].Method; m != 0 {
+		if len(stack) == 0 || stack[len(stack)-1] != m {
+			stack = append(stack, m)
+		}
+	}
+	return stack
+}
+
+// sameStack compares stacks, treating nil and empty alike.
+func sameStack(a, b []trace.MethodID) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// assertCallStacksMatchRef checks CallStacks(tr, idxs) against the
+// per-index reference at every index, including the ones CallStacks
+// must skip.
+func assertCallStacksMatchRef(t *testing.T, tr *trace.Trace, idxs []int) {
+	t.Helper()
+	got := CallStacks(tr, idxs)
+	for _, idx := range idxs {
+		want := callStackRef(tr, idx)
+		gs, ok := got[idx]
+		if inRange := idx >= 0 && idx < len(tr.Entries); ok != inRange {
+			t.Errorf("index %d: present in CallStacks = %v, want %v", idx, ok, inRange)
+		}
+		if !sameStack(gs, want) {
+			t.Errorf("index %d: CallStacks %v, reference %v", idx, gs, want)
+		}
+	}
+}
+
+// TestCallStacksMatchReferenceOnApps sweeps the stacks at every
+// extracted use deref and free of the ten app models in one pass and
+// compares each with the per-index reference walk. The uses and frees
+// all sit in a task's root handler, so the sweep also asks for every
+// invoke, the entry after it, and every 97th entry.
+func TestCallStacksMatchReferenceOnApps(t *testing.T) {
+	for _, spec := range apps.Registry {
+		col := trace.NewCollector()
+		out, err := apps.Build(spec, sim.Config{Tracer: col, Seed: 1}, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := out.Sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ex := extract(col.T, nil)
+		var idxs []int
+		for _, u := range ex.uses {
+			idxs = append(idxs, u.DerefIdx)
+		}
+		for _, f := range ex.frees {
+			idxs = append(idxs, f.Idx)
+		}
+		for i, e := range col.T.Entries {
+			if e.Op == trace.OpInvoke || i%97 == 0 {
+				idxs = append(idxs, i, i+1)
+			}
+		}
+		assertCallStacksMatchRef(t, col.T, idxs)
+	}
+}
+
+// TestCallStacksHandTraces covers the sweep's corners: unbalanced
+// returns, index 0, duplicate indexes, out-of-range indexes,
+// interleaved tasks, and invoke/return entries queried themselves
+// (their own step must not be live yet).
+func TestCallStacksHandTraces(t *testing.T) {
+	tr := trace.New()
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1, Method: 5}) // index 0, no begin
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpReturn, Method: 9})        // stray return
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpInvoke, Method: 1})
+	tr.Append(trace.Entry{Task: 2, Op: trace.OpInvoke, Method: 7})
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpInvoke, Method: 2})
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1, Method: 2})
+	tr.Append(trace.Entry{Task: 2, Op: trace.OpReturn, Method: 7})
+	tr.Append(trace.Entry{Task: 2, Op: trace.OpReturn, Method: 7}) // unbalanced
+	tr.Append(trace.Entry{Task: 2, Op: trace.OpWrite, Var: 1, Method: 8})
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpReturn, Method: 2})
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpInvoke, Method: 3}) // queried invoke: its own push is not yet live
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1})
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpInvoke, Method: 3}) // recursive: the stack so far ends in 3 already
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpReturn})            // a return naming no method
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpWrite, Var: 1, Method: 3})
+	all := make([]int, len(tr.Entries))
+	for i := range all {
+		all[i] = i
+	}
+	assertCallStacksMatchRef(t, tr, all)
+	assertCallStacksMatchRef(t, tr, []int{0})
+	assertCallStacksMatchRef(t, tr, []int{5, 5, 0, 5, 11, 0})
+	assertCallStacksMatchRef(t, tr, []int{-1, len(tr.Entries), 1 << 30, 8})
+	if got := CallStacks(tr, nil); len(got) != 0 {
+		t.Errorf("CallStacks(nil) = %v, want empty", got)
+	}
+	if got := CallStacks(trace.New(), []int{0}); len(got) != 0 {
+		t.Errorf("CallStacks on an empty trace = %v, want empty", got)
+	}
+	for idx, want := range map[int][]trace.MethodID{5: {1, 2}, 12: {1, 3}, 13: {1, 3, 3}, 14: {1, 3}} {
+		if got := stackAt(tr, idx); !reflect.DeepEqual(got, want) {
+			t.Errorf("stack at %d = %v, want %v", idx, got, want)
+		}
+	}
 }

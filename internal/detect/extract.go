@@ -114,8 +114,8 @@ func extract(tr *trace.Trace, sources map[dataflow.Key]dataflow.Source) *extract
 // consumed one at a time and discarded; only the compact use / free /
 // alloc / guard records and the per-task read frontier are retained.
 // In streaming mode it additionally captures the call stack live at
-// each use and free (a streamed trace cannot reconstruct them later
-// the way CallStack does) and emits frontier-retirement metrics.
+// each use and free (a streamed trace cannot be swept again by
+// CallStacks later) and emits frontier-retirement metrics.
 type Extractor struct {
 	ex          *extraction
 	sources     map[dataflow.Key]dataflow.Source
@@ -123,15 +123,15 @@ type Extractor struct {
 	readsBySite map[trace.TaskID]map[siteKey]lastRead
 	usedReads   map[int]bool // read idx already promoted to a Use
 
-	streaming  bool
-	liveStacks map[trace.TaskID][]trace.MethodID
-	stacks     map[int][]trace.MethodID
-	live       int // unpromoted pinned reads (the frontier window)
+	streaming bool
+	calls     liveStacks
+	stacks    map[int][]trace.MethodID
+	live      int // unpromoted pinned reads (the frontier window)
 }
 
 // NewExtractor returns an Extractor. streaming enables call-stack
 // capture at uses/frees and frontier metrics; the batch extract path
-// leaves it off and reconstructs stacks from the trace on demand.
+// leaves it off; batch results sweep the trace once with CallStacks.
 func NewExtractor(sources map[dataflow.Key]dataflow.Source, streaming bool) *Extractor {
 	x := &Extractor{
 		ex: &extraction{
@@ -147,7 +147,7 @@ func NewExtractor(sources map[dataflow.Key]dataflow.Source, streaming bool) *Ext
 		x.readsBySite = make(map[trace.TaskID]map[siteKey]lastRead)
 	}
 	if streaming {
-		x.liveStacks = make(map[trace.TaskID][]trace.MethodID)
+		x.calls = liveStacks{}
 		x.stacks = make(map[int][]trace.MethodID)
 	}
 	return x
@@ -157,18 +157,6 @@ func NewExtractor(sources map[dataflow.Key]dataflow.Source, streaming bool) *Ext
 func (x *Extractor) retire(i, readIdx int) {
 	cStreamRetired.Inc()
 	hStreamStall.Observe(int64(i - readIdx))
-}
-
-// captureStack snapshots the live calling context of task at entry i,
-// applying CallStack's innermost-frame rule.
-func (x *Extractor) captureStack(i int, task trace.TaskID, m trace.MethodID) {
-	live := x.liveStacks[task]
-	stack := make([]trace.MethodID, len(live), len(live)+1)
-	copy(stack, live)
-	if m != 0 && (len(stack) == 0 || stack[len(stack)-1] != m) {
-		stack = append(stack, m)
-	}
-	x.stacks[i] = stack
 }
 
 // Live returns the number of unpromoted reads currently pinned — the
@@ -212,7 +200,7 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 				Idx: i, Var: e.Var, Task: e.Task, Method: e.Method, PC: e.PC,
 			})
 			if x.streaming {
-				x.captureStack(i, e.Task, e.Method)
+				x.stacks[i] = x.calls.at(e.Task, e.Method)
 			}
 		} else {
 			ex.allocs = append(ex.allocs, Alloc{Idx: i, Var: e.Var, Task: e.Task})
@@ -255,7 +243,7 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 		if x.streaming {
 			x.live--
 			x.retire(i, lr.idx) // promoted to a Use
-			x.captureStack(i, e.Task, e.Method)
+			x.stacks[i] = x.calls.at(e.Task, e.Method)
 		}
 
 	case trace.OpBranch:
@@ -268,15 +256,9 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 		}
 		ex.guards[e.Task] = append(ex.guards[e.Task], g)
 
-	case trace.OpInvoke:
+	case trace.OpInvoke, trace.OpReturn:
 		if x.streaming {
-			x.liveStacks[e.Task] = append(x.liveStacks[e.Task], e.Method)
-		}
-	case trace.OpReturn:
-		if x.streaming {
-			if s := x.liveStacks[e.Task]; len(s) > 0 {
-				x.liveStacks[e.Task] = s[:len(s)-1]
-			}
+			x.calls.step(e)
 		}
 	}
 }

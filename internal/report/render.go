@@ -67,6 +67,12 @@ func BuildJSON(reports []*FileReport) *ReportJSON {
 	}
 	for _, rep := range reports {
 		tr, res := rep.Trace, rep.Result
+		stacks := res.Stacks
+		if stacks == nil {
+			// A Result assembled outside the pipeline carries no
+			// stacks; one sweep of its trace recovers them.
+			stacks = detect.RaceStacks(tr, res.Races)
+		}
 		in := InputJSON{
 			File:    rep.File,
 			Events:  tr.EventCount(),
@@ -83,11 +89,11 @@ func BuildJSON(reports []*FileReport) *ReportJSON {
 				UseTask:    tr.TaskName(r.Use.Task),
 				UseMethod:  tr.MethodName(r.Use.Method),
 				UsePC:      uint32(r.Use.DerefPC),
-				UseStack:   detect.FormatStack(tr, res.StackAt(r.Use.DerefIdx)),
+				UseStack:   detect.FormatStack(tr, stacks[r.Use.DerefIdx]),
 				FreeTask:   tr.TaskName(r.Free.Task),
 				FreeMethod: tr.MethodName(r.Free.Method),
 				FreePC:     uint32(r.Free.PC),
-				FreeStack:  detect.FormatStack(tr, res.StackAt(r.Free.Idx)),
+				FreeStack:  detect.FormatStack(tr, stacks[r.Free.Idx]),
 			})
 			out.ByClass[r.Class.String()]++
 		}

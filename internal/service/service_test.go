@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -157,6 +158,60 @@ func TestBodyLimit413(t *testing.T) {
 	rec, _ := post(t, s, bytes.Repeat([]byte("y"), 4096), "")
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body = %d, want 413", rec.Code)
+	}
+}
+
+// entryOffset returns the byte offset at which entry k of tr starts in
+// its binary encoding: the length of the encoding of its first k
+// entries under the same tables. The entry count is a varint, so k
+// must need as many bytes as len(tr.Entries) for the two to agree.
+func entryOffset(t testing.TB, tr *trace.Trace, k int) int {
+	t.Helper()
+	pre := *tr
+	pre.Entries = tr.Entries[:k]
+	var buf bytes.Buffer
+	if err := pre.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Len()
+}
+
+// TestBodyLimitInsideEntries cuts a valid binary trace inside its
+// entry section, on buffered and streaming servers alike: a body the
+// limit cuts answers 413, and a body that simply ends mid-entry
+// answers 400 naming the entry and its offset.
+func TestBodyLimitInsideEntries(t *testing.T) {
+	raw := testTrace(t, 1)
+	tr, err := trace.Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(tr.Entries) / 2
+	if k < 1<<7 || len(tr.Entries) >= 1<<14 {
+		t.Fatalf("%d entries: entryOffset needs counts of the same varint width", len(tr.Entries))
+	}
+	start := entryOffset(t, tr, k)
+	for _, stream := range []bool{false, true} {
+		for _, limit := range []int{start, start + 1, start + 3} {
+			s := newTestServer(t, Config{Workers: 1, Stream: stream, MaxBodyBytes: int64(limit)})
+			if rec, _ := post(t, s, raw, ""); rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("stream=%v limit=%d: status %d, want 413: %s", stream, limit, rec.Code, rec.Body.String())
+			}
+		}
+		// Cut one byte into entry k: the op byte is there, the task
+		// varint's first byte is not.
+		s := newTestServer(t, Config{Workers: 1, Stream: stream})
+		rec, _ := post(t, s, raw[:start+1], "")
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("stream=%v truncated: status %d, want 400", stream, rec.Code)
+		}
+		var e api.Error
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("decode: trace: decode entry %d at byte %d: EOF", k, start); e.Error != want {
+			t.Errorf("stream=%v truncated: message %q, want %q", stream, e.Error, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"cafa/internal/obs"
 )
@@ -63,6 +64,9 @@ const (
 	fBranch
 	fMethod
 	fTime
+
+	// valuedFields are the bits whose field carries a varint.
+	valuedFields = fTime<<1 - 1 - fExternal
 )
 
 // Encode writes the trace in binary form.
@@ -305,92 +309,125 @@ func decodeBinaryHeader(br byteReader) (*Trace, int, error) {
 	return tr, int(n), nil
 }
 
-func decodeEntry(br byteReader) (Entry, error) {
-	var e Entry
-	op, err := br.ReadByte()
-	if err != nil {
-		return e, err
+// maxEntryLen bounds the bytes one binary entry occupies before it
+// decodes or fails: the op byte, the task and mask varints, and one
+// varint for each of the 14 valued fields. binary.ReadUvarint gives up
+// with an overflow by a varint's tenth byte, so no entry reads more.
+const maxEntryLen = 1 + (2+14)*binary.MaxVarintLen64
+
+// errVarintOverflow carries the text binary.ReadUvarint uses.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// entryWindow is a cursor over the bytes bufio's Peek returned for one
+// entry. The first failed read sets fail and turns every later read
+// into a no-op, so decodeEntry checks once at the end. A read past
+// the window's end fails with what a byte-at-a-time reader would have
+// hit there: rerr, the reader's error from Peek, with io.EOF turned
+// into io.ErrUnexpectedEOF after a varint's first byte.
+type entryWindow struct {
+	buf  []byte
+	pos  int
+	rerr error
+	fail error
+}
+
+// uvarint reads the next varint. After a failure pos stays on the
+// byte that failed, so every later read returns 0.
+func (w *entryWindow) uvarint() uint64 {
+	if p := w.pos; p < len(w.buf) && w.buf[p] < 0x80 {
+		w.pos = p + 1
+		return uint64(w.buf[p])
+	}
+	if w.fail != nil {
+		return 0
+	}
+	b := w.buf[w.pos:]
+	v, n := binary.Uvarint(b)
+	switch {
+	case n > 0:
+		w.pos += n
+		return v
+	case n < 0 || len(b) >= binary.MaxVarintLen64:
+		// Uvarint reports ten continuation bytes at the end of b as
+		// "too short"; ReadUvarint has already overflowed there.
+		w.fail = errVarintOverflow
+	default:
+		w.fail = w.short(len(b) > 0)
+	}
+	return 0
+}
+
+// unzigzag decodes a zigzag-encoded signed value.
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// short is the error for a read past the end of the window; mid
+// reports whether the varint being read has already consumed a byte.
+func (w *entryWindow) short(mid bool) error {
+	if w.rerr != nil && w.rerr != io.EOF {
+		return w.rerr
+	}
+	if mid {
+		return io.ErrUnexpectedEOF
+	}
+	return io.EOF
+}
+
+// decodeEntry decodes one binary entry from the window into *e, which
+// must be zero. On success w.pos is the entry's length in bytes.
+func decodeEntry(w *entryWindow, e *Entry) error {
+	if len(w.buf) == 0 {
+		return w.short(false)
+	}
+	op := w.buf[0]
+	w.pos = 1
+	if !Op(op).Valid() {
+		return fmt.Errorf("invalid op %d", op)
 	}
 	e.Op = Op(op)
-	if !e.Op.Valid() {
-		return e, fmt.Errorf("invalid op %d", op)
-	}
-	task, err := getUvarint(br)
-	if err != nil {
-		return e, err
-	}
-	e.Task = TaskID(task)
-	mask, err := getUvarint(br)
-	if err != nil {
-		return e, err
-	}
+	e.Task = TaskID(w.uvarint())
+	mask := w.uvarint()
 	e.External = mask&fExternal != 0
-	read := func(bit uint64) (uint64, error) {
-		if mask&bit == 0 {
-			return 0, nil
-		}
-		return getUvarint(br)
-	}
-	var v uint64
-	if v, err = read(fTarget); err != nil {
-		return e, err
-	}
-	e.Target = TaskID(v)
-	if v, err = read(fQueue); err != nil {
-		return e, err
-	}
-	e.Queue = QueueID(v)
-	if mask&fDelay != 0 {
-		if e.Delay, err = getVarint(br); err != nil {
-			return e, err
-		}
-	}
-	if v, err = read(fMonitor); err != nil {
-		return e, err
-	}
-	e.Monitor = MonitorID(v)
-	if v, err = read(fLock); err != nil {
-		return e, err
-	}
-	e.Lock = LockID(v)
-	if v, err = read(fListener); err != nil {
-		return e, err
-	}
-	e.Listener = ListenerID(v)
-	if v, err = read(fVar); err != nil {
-		return e, err
-	}
-	e.Var = VarID(v)
-	if v, err = read(fValue); err != nil {
-		return e, err
-	}
-	e.Value = ObjID(v)
-	if v, err = read(fTxn); err != nil {
-		return e, err
-	}
-	e.Txn = TxnID(v)
-	if v, err = read(fPC); err != nil {
-		return e, err
-	}
-	e.PC = PC(v)
-	if v, err = read(fTargetPC); err != nil {
-		return e, err
-	}
-	e.TargetPC = PC(v)
-	if v, err = read(fBranch); err != nil {
-		return e, err
-	}
-	e.Branch = BranchKind(v)
-	if v, err = read(fMethod); err != nil {
-		return e, err
-	}
-	e.Method = MethodID(v)
-	if mask&fTime != 0 {
-		if e.Time, err = getVarint(br); err != nil {
-			return e, err
+	// The valued fields follow in bit order.
+	for m := mask & valuedFields; m != 0; m &= m - 1 {
+		x := w.uvarint()
+		switch uint64(1) << bits.TrailingZeros64(m) {
+		case fTarget:
+			e.Target = TaskID(x)
+		case fQueue:
+			e.Queue = QueueID(x)
+		case fDelay:
+			e.Delay = unzigzag(x)
+		case fMonitor:
+			e.Monitor = MonitorID(x)
+		case fLock:
+			e.Lock = LockID(x)
+		case fListener:
+			e.Listener = ListenerID(x)
+		case fVar:
+			e.Var = VarID(x)
+		case fValue:
+			e.Value = ObjID(x)
+		case fTxn:
+			e.Txn = TxnID(x)
+		case fPC:
+			e.PC = PC(x)
+		case fTargetPC:
+			e.TargetPC = PC(x)
+		case fBranch:
+			e.Branch = BranchKind(x)
+		case fMethod:
+			e.Method = MethodID(x)
+		case fTime:
+			e.Time = unzigzag(x)
 		}
 	}
-	return e, nil
+	return w.fail
 }
 
 // --- varint helpers ---

@@ -53,16 +53,17 @@ func (e *PosError) Error() string {
 
 func (e *PosError) Unwrap() error { return e.Err }
 
-// byteReader is what the binary decoding helpers need: varints read
+// byteReader is what the binary header helpers need: varints read
 // byte-at-a-time, strings in bulk.
 type byteReader interface {
 	io.Reader
 	io.ByteReader
 }
 
-// posReader counts bytes consumed from the wrapped buffered reader so
-// binary decode errors can report absolute offsets. It sits above
-// bufio, so counting costs one add per read and no extra copying.
+// posReader counts the bytes the binary header helpers consume from
+// the wrapped buffered reader, so the entry section's absolute offset
+// is known. It sits above bufio, so counting costs one add per read
+// and no extra copying.
 type posReader struct {
 	br *bufio.Reader
 	n  int64
@@ -97,12 +98,16 @@ type StreamDecoder struct {
 	next     int
 	err      error
 
-	pr *posReader  // binary state
-	tx *textReader // text state
+	br   *bufio.Reader // binary state: entries are decoded from Peek windows
+	off  int64         // absolute offset of the next binary entry
+	rerr error         // reader error a short window returned
+	tx   *textReader   // text state
 }
 
+// asBufio reuses rd when it is a *bufio.Reader whose buffer holds a
+// whole binary entry; anything else gets a default-size buffer.
 func asBufio(rd io.Reader) *bufio.Reader {
-	if br, ok := rd.(*bufio.Reader); ok {
+	if br, ok := rd.(*bufio.Reader); ok && br.Size() >= maxEntryLen {
 		return br
 	}
 	return bufio.NewReader(rd)
@@ -129,7 +134,7 @@ func newBinaryStream(br *bufio.Reader) (*StreamDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StreamDecoder{format: FormatBinary, hdr: hdr, declared: n, pr: pr}, nil
+	return &StreamDecoder{format: FormatBinary, hdr: hdr, declared: n, br: br, off: pr.n}, nil
 }
 
 func newTextStream(br *bufio.Reader) (*StreamDecoder, error) {
@@ -157,40 +162,71 @@ func (d *StreamDecoder) Len() int { return d.declared }
 // been delivered. Decode failures return a *PosError and poison the
 // decoder (subsequent calls repeat the error).
 func (d *StreamDecoder) Next() (Entry, error) {
-	if d.err != nil {
-		return Entry{}, d.err
+	var e Entry
+	if err := d.entry(&e); err != nil {
+		return Entry{}, err
 	}
-	if d.next >= d.declared {
+	return e, nil
+}
+
+// entry decodes the next entry into *e, which must be zero. It is
+// Next without the copy, so collect can decode into the Entries slot.
+func (d *StreamDecoder) entry(e *Entry) error {
+	if d.err == nil && d.next >= d.declared {
 		d.err = io.EOF
-		return Entry{}, io.EOF
 	}
-	switch d.format {
-	case FormatBinary:
-		start := d.pr.n
-		e, err := decodeEntry(d.pr)
-		if err != nil {
-			d.err = &PosError{Entry: d.next, Offset: start, Err: err}
-			return Entry{}, d.err
-		}
-		d.next++
-		return e, nil
-	default: // FormatText
-		line, err := d.tx.next()
-		if err != nil {
-			d.err = d.tx.errf("entries: %v", err)
-			d.err.(*PosError).Entry = d.next
-			return Entry{}, d.err
-		}
-		e, err := parseEntryLine(line)
-		if err != nil {
-			pe := d.tx.errf("%v", err)
-			pe.(*PosError).Entry = d.next
-			d.err = pe
-			return Entry{}, d.err
-		}
-		d.next++
-		return e, nil
+	if d.err != nil {
+		return d.err
 	}
+	var err error
+	if d.format == FormatBinary {
+		err = d.binaryEntry(e)
+	} else {
+		err = d.textEntry(e)
+	}
+	if err != nil {
+		d.err = err
+		return err
+	}
+	d.next++
+	return nil
+}
+
+// binaryEntry decodes one entry from a window of up to maxEntryLen
+// bytes and then consumes only the bytes it used. Once the reader has
+// failed, the window is just what bufio still holds, and the saved
+// error stands for the bytes past it, as a byte reader would see.
+func (d *StreamDecoder) binaryEntry(e *Entry) error {
+	var w entryWindow
+	if d.rerr == nil {
+		w.buf, d.rerr = d.br.Peek(maxEntryLen)
+	} else {
+		w.buf, _ = d.br.Peek(d.br.Buffered())
+	}
+	w.rerr = d.rerr
+	if err := decodeEntry(&w, e); err != nil {
+		return &PosError{Entry: d.next, Offset: d.off, Err: err}
+	}
+	d.br.Discard(w.pos) //nolint:errcheck // w.pos bytes are buffered
+	d.off += int64(w.pos)
+	return nil
+}
+
+// textEntry parses the next entry line.
+func (d *StreamDecoder) textEntry(e *Entry) error {
+	line, err := d.tx.next()
+	if err != nil {
+		pe := d.tx.errf("entries: %v", err)
+		pe.(*PosError).Entry = d.next
+		return pe
+	}
+	*e, err = parseEntryLine(line)
+	if err != nil {
+		pe := d.tx.errf("%v", err)
+		pe.(*PosError).Entry = d.next
+		return pe
+	}
+	return nil
 }
 
 // DecodeStream sniffs the format and invokes fn once per entry in
@@ -219,21 +255,18 @@ func DecodeStream(rd io.Reader, fn func(i int, e Entry) error) (*Trace, error) {
 }
 
 // collect drains a StreamDecoder into its header trace, producing the
-// same *Trace the historical batch decoders returned.
+// same *Trace the historical batch decoders returned. Each entry is
+// decoded in place in its Entries slot.
 func collect(d *StreamDecoder) (*Trace, error) {
 	tr := d.hdr
 	if d.declared > 0 {
 		tr.Entries = make([]Entry, 0, min(d.declared, 1<<20))
 	}
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	for d.next < d.declared {
+		tr.Entries = append(tr.Entries, Entry{})
+		if err := d.entry(&tr.Entries[len(tr.Entries)-1]); err != nil {
 			return nil, err
 		}
-		tr.Entries = append(tr.Entries, e)
 	}
 	tr.StreamLen = 0 // fully materialized; Len() is len(Entries) again
 	return tr, nil

@@ -153,6 +153,13 @@ type Validator struct {
 	created  map[TaskID]int // seq of fork/send creating the task
 	lastTime int64
 	i        int
+
+	// The previous entry's task, already checked declared, and its
+	// state. Tasks run in long stretches, so the Tasks and states
+	// lookups run once per stretch instead of once per entry. NoTask
+	// never matches: entries with it are rejected first.
+	runTask TaskID
+	runSt   *taskValState
 }
 
 type taskValState struct {
@@ -181,19 +188,23 @@ func (v *Validator) Entry(e *Entry) error {
 	if e.Task == NoTask {
 		return fmt.Errorf("trace: entry %d (%s): zero task id", i, e.String())
 	}
-	if _, ok := tr.Tasks[e.Task]; !ok {
-		return fmt.Errorf("trace: entry %d (%s): task t%d not declared", i, e.String(), e.Task)
+	st := v.runSt
+	if e.Task != v.runTask {
+		if _, ok := tr.Tasks[e.Task]; !ok {
+			return fmt.Errorf("trace: entry %d (%s): task t%d not declared", i, e.String(), e.Task)
+		}
+		st = v.states[e.Task]
+		if st == nil {
+			st = &taskValState{}
+			v.states[e.Task] = st
+		}
+		v.runTask, v.runSt = e.Task, st
 	}
 	if e.Time < v.lastTime {
 		return fmt.Errorf("trace: entry %d (%s): time goes backwards (%d < %d)", i, e.String(), e.Time, v.lastTime)
 	}
 	v.lastTime = e.Time
 
-	st := v.states[e.Task]
-	if st == nil {
-		st = &taskValState{}
-		v.states[e.Task] = st
-	}
 	switch e.Op {
 	case OpBegin:
 		if st.begun {

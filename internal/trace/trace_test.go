@@ -140,6 +140,14 @@ func TestValidateRejects(t *testing.T) {
 		{"op before begin", mk(func(tr *Trace) { tr.Entries[2] = Entry{Task: 2, Op: OpRead, Time: 2} }), "before begin"},
 		{"end before begin", mk(func(tr *Trace) { tr.Entries[2] = Entry{Task: 2, Op: OpEnd, Time: 2} }), "ends before beginning"},
 		{"zero fork target", mk(func(tr *Trace) { tr.Entries[1].Target = 0 }), "zero target"},
+		// The validator caches the previous entry's task; these pin
+		// its full messages across run boundaries.
+		{"undeclared task after a run", mk(func(tr *Trace) { tr.Entries[6].Task = 999 }),
+			"trace: entry 6 (wr(t999, x700000001) @6): task t999 not declared"},
+		{"task switch A-B-A", mk(func(tr *Trace) { tr.Entries[11] = Entry{Task: 2, Op: OpRead, Var: 1, Time: 11} }),
+			"trace: entry 11 (rd(t2, x1) @11): operation after end of worker"},
+		{"undeclared first entry", mk(func(tr *Trace) { tr.Entries[0].Task = 5 }),
+			"trace: entry 0 (begin(t5) @0): task t5 not declared"},
 		{"event without looper", mk(func(tr *Trace) {
 			ti := tr.Tasks[3]
 			ti.Looper = 0
