@@ -165,8 +165,8 @@ type AnalyzeOptions struct {
 }
 
 // Analyze runs the full offline pipeline on a trace: both causality
-// models, lock sets, and the use-free race detector. The passes run
-// concurrently via internal/analysis; results are identical to the
+// models, lock sets, and the use-free race detector. internal/analysis
+// builds the two models concurrently; results are identical to the
 // serial pipeline.
 func Analyze(tr *Trace, opts AnalyzeOptions) (*Report, error) {
 	res, err := analysis.Analyze(tr, analysis.Options{Detect: opts.Detect, Naive: opts.Naive})

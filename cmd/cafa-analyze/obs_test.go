@@ -213,7 +213,7 @@ func TestTraceOutShapeTenApps(t *testing.T) {
 		t.Errorf("got %d analyze spans, want %d", got, len(apps.Registry))
 	}
 	// The golden shape: every phase of the pipeline appears, ten times.
-	for _, phase := range []string{"decode", "hb.prescan", "hb.graph", "hb.conventional", "lockset", "detect"} {
+	for _, phase := range []string{"decode", "hb.prescan", "hb.graph", "hb.conventional", "ingest", "detect"} {
 		if names[phase] != len(apps.Registry) {
 			t.Errorf("span %q appears %d times, want %d", phase, names[phase], len(apps.Registry))
 		}

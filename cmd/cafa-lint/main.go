@@ -450,14 +450,14 @@ func (l *appLint) pairJSON(p static.Pair) pairJSON {
 // gaps without vs with the pass, and the candidate pairs still
 // dispatched to a dynamic HB query after the prune projection.
 type benchJSON struct {
-	App              string        `json:"app"`
-	Methods          int           `json:"methods"`
-	DerefSites       int           `json:"derefSites"`
-	Pairs            int           `json:"pairs"`
-	OrderedPairs     int           `json:"orderedPairs"`
-	GapsWithoutOrder int           `json:"gapsWithoutOrder"`
-	GapsWithOrder    int           `json:"gapsWithOrder"`
-	DynDispatch      int           `json:"dynamicDispatchPairs"`
+	App              string `json:"app"`
+	Methods          int    `json:"methods"`
+	DerefSites       int    `json:"derefSites"`
+	Pairs            int    `json:"pairs"`
+	OrderedPairs     int    `json:"orderedPairs"`
+	GapsWithoutOrder int    `json:"gapsWithoutOrder"`
+	GapsWithOrder    int    `json:"gapsWithOrder"`
+	DynDispatch      int    `json:"dynamicDispatchPairs"`
 	// Synth rows only: the open-world control. No bytecode exists for
 	// synthetic traces, so the order pass sits at bottom and every
 	// dynamic candidate is dispatched to the HB query — the

@@ -1,20 +1,23 @@
-// Package analysis orchestrates CAFA's offline half as a concurrent,
-// reusable pipeline. One Analyze call fans the three independent
-// trace passes — the event-driven causality graph, the conventional
-// baseline graph, and the lockset computation — out to goroutines
-// over a shared hb.Prescan, then joins them into the use-free
-// detector. A Pipeline additionally analyzes many traces in parallel
-// under a bounded worker pool (batch mode).
+// Package analysis orchestrates CAFA's offline half. One driver
+// serves both entry points: every pass is a per-entry consumer —
+// hb.Scanner, lockset.Tracker and detect.Extractor — and one forward
+// sweep feeds each entry through all of them. Analyze sweeps a
+// materialized trace; a StreamAnalyzer (stream.go) sweeps entries as
+// they are decoded. The shared finish step then builds the
+// event-driven and conventional causality models concurrently over
+// the scanned frontier and runs the use-free detector after the join.
+// A Pipeline additionally analyzes many traces in parallel under a
+// bounded worker pool (batch mode).
 //
-// Results are bit-identical to running the passes serially: the
-// passes share no mutable state (the Prescan is immutable, each graph
-// owns its adjacency and closure), and the detector runs after the
-// join, so concurrency changes only wall-clock time.
+// Results are bit-identical to running the graph builds serially:
+// the Prescan is immutable, each graph owns its adjacency and closure,
+// and the detector runs after the join, so concurrency changes only
+// wall-clock time.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 
@@ -31,9 +34,10 @@ import (
 
 // Pipeline observability (internal/obs). Each analyzed trace gets a
 // span tree: the per-trace span (one track — batch concurrency shows
-// up as parallel tracks) with a serial prescan child, forked spans
-// for the concurrently-built passes, and a serial detect child after
-// the join. Counters track batch scheduling.
+// up as parallel tracks) with a serial ingest child (the per-entry
+// sweep), a serial prescan child (base edges and anchor index), forked
+// spans for the two concurrently-built graphs, and a serial detect
+// child after the join. Counters track batch scheduling.
 var (
 	cTracesAnalyzed = obs.NewCounter("analysis_traces_analyzed_total")
 	cTraceErrors    = obs.NewCounter("analysis_trace_errors_total")
@@ -81,8 +85,8 @@ type Options struct {
 	// EvidenceOptions configures the collector when Evidence is set.
 	EvidenceOptions provenance.Options
 	// Workers bounds batch-mode concurrency (AnalyzeAll). 0 means
-	// GOMAXPROCS. Per-trace pass concurrency is fixed at the three
-	// independent passes and is not affected.
+	// GOMAXPROCS. Per-trace concurrency is fixed at the two graph
+	// builds and is not affected.
 	Workers int
 }
 
@@ -119,10 +123,9 @@ type Result struct {
 	// Evidence is the provenance collector attached to the detector
 	// run, populated when Options.Evidence is set (nil otherwise).
 	Evidence *provenance.Collector
-	// Stacks are the call stacks at each race's use deref and free,
-	// keyed by trace index, filled once per result: batch analysis
-	// sweeps the trace once with detect.RaceStacks, and streaming
-	// analysis captures them (at every use and free) as entries pass.
+	// Stacks are the call stacks at every extracted use deref and
+	// free, keyed by trace index: the detect.Extractor captures them
+	// as entries pass, in batch and streaming analysis alike.
 	Stacks map[int][]trace.MethodID
 }
 
@@ -149,9 +152,11 @@ func New(opts Options) *Pipeline {
 	return &Pipeline{opts: opts}
 }
 
-// Analyze runs the full offline pipeline on one trace. The trace scan
-// runs once; the two causality models and the lockset pass then run
-// concurrently, and the detector joins them.
+// Analyze runs the full offline pipeline on one trace: one sweep
+// feeds every entry to the per-entry passes, then the two causality
+// models are built concurrently and the detector joins them. The
+// trace is not validated here; callers that decoded it run
+// tr.Validate first.
 func (p *Pipeline) Analyze(tr *trace.Trace) (*Result, error) {
 	sp := obs.Start("pipeline.analyze")
 	defer sp.End()
@@ -164,21 +169,95 @@ func (p *Pipeline) Analyze(tr *trace.Trace) (*Result, error) {
 // cafa-analyze batch driver, the -progress stream) see the detector
 // outcome on the span itself. The caller Ends sp.
 func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error) {
-	spScan := sp.Child("hb.prescan")
-	ps, err := hb.Scan(tr)
-	spScan.End()
-	if err != nil {
-		cTraceErrors.Inc()
-		return nil, err
+	a := p.newAnalyzer(tr, sp)
+	spIn := sp.Child("ingest")
+	for i := range tr.Entries {
+		if err := a.consume(&tr.Entries[i]); err != nil {
+			spIn.End()
+			cTraceErrors.Inc()
+			return nil, err
+		}
 	}
+	spIn.End()
+	return a.finish(sp)
+}
+
+// analyzer is the one analysis driver behind Analyze and
+// StreamAnalyzer: the per-entry passes, advanced together by consume,
+// and the finish step that joins them into a Result.
+type analyzer struct {
+	opts *Options
+	tr   *trace.Trace
+	// st is the whole-program static result, resolved before the
+	// first entry because Interproc extraction needs st.Derefs.
+	st *static.Result
+
+	scanner *hb.Scanner
+	locks   *lockset.Tracker
+	ext     *detect.Extractor
+	n       int // entries consumed
+}
+
+// newAnalyzer returns an analyzer over tr, which supplies the task and
+// name tables (its Entries may be empty, as for a stream header). The
+// static result, when wanted, is resolved under a "static" child of
+// sp (nil is fine).
+func (p *Pipeline) newAnalyzer(tr *trace.Trace, sp *obs.Span) *analyzer {
+	var st *static.Result
+	if p.opts.wantStatic() {
+		// The static result depends only on the program; sync.Once
+		// caches it across traces and makes concurrent first calls
+		// safe.
+		spS := sp.Child("static")
+		p.staticOnce.Do(func() {
+			p.static = static.AnalyzeOpts(p.opts.Program, static.Options{Roots: p.opts.Roots})
+		})
+		spS.End()
+		st = p.static
+	}
+	sources := p.opts.DerefSources
+	if st != nil && p.opts.Interproc {
+		sources = st.Derefs
+	}
+	return &analyzer{
+		opts:    &p.opts,
+		tr:      tr,
+		st:      st,
+		scanner: hb.NewScanner(tr),
+		locks:   lockset.NewTracker(),
+		ext:     detect.NewExtractor(sources),
+	}
+}
+
+// consume advances every pass by one entry, in trace order, so the
+// first fault in trace order is the one reported. The entry is not
+// retained.
+func (a *analyzer) consume(e *trace.Entry) error {
+	if err := a.scanner.Consume(e); err != nil {
+		return err
+	}
+	if err := a.locks.Consume(a.n, e); err != nil {
+		return err
+	}
+	a.ext.Consume(a.n, e)
+	a.n++
+	return nil
+}
+
+// finish seals the scan, builds both causality models concurrently,
+// and runs the detector over the extraction.
+func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
+	opts := a.opts
+	spScan := sp.Child("hb.prescan")
+	ps := a.scanner.Finish()
+	spScan.End()
+
 	var (
-		wg                   sync.WaitGroup
-		g, conv              *hb.Graph
-		ls                   *lockset.Sets
-		gErr, convErr, lsErr error
-		st                   *static.Result
+		wg            sync.WaitGroup
+		g, conv       *hb.Graph
+		gErr, convErr error
 	)
-	wg.Add(3)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		spG := sp.Fork("hb.graph")
@@ -191,76 +270,40 @@ func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error
 		defer spC.End()
 		conv, convErr = hb.BuildFromScan(ps, hb.Options{Conventional: true})
 	}()
-	go func() {
-		defer wg.Done()
-		spL := sp.Fork("lockset")
-		defer spL.End()
-		ls, lsErr = lockset.Compute(tr)
-	}()
-	if p.opts.wantStatic() {
-		// The static passes need only the program, not the trace, so
-		// they overlap with the graph builds. sync.Once caches the
-		// result across traces (and makes concurrent first calls safe).
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			spS := sp.Fork("static")
-			defer spS.End()
-			p.staticOnce.Do(func() {
-				p.static = static.AnalyzeOpts(p.opts.Program, static.Options{Roots: p.opts.Roots})
-			})
-			st = p.static
-		}()
-	}
 	wg.Wait()
-	if gErr != nil {
+	if err := cmp.Or(gErr, convErr); err != nil {
 		cTraceErrors.Inc()
-		return nil, gErr
+		return nil, err
 	}
-	if convErr != nil {
-		cTraceErrors.Inc()
-		return nil, convErr
-	}
-	if lsErr != nil {
-		cTraceErrors.Inc()
-		return nil, lsErr
-	}
+	ls := a.locks.Sets()
 	in := detect.Input{
-		Trace:        tr,
+		Trace:        a.tr,
 		Graph:        g,
 		Conventional: conv,
 		Locks:        ls,
-		DerefSources: p.opts.DerefSources,
 	}
-	if st != nil {
-		if p.opts.Interproc {
-			in.DerefSources = st.Derefs
+	if a.st != nil {
+		if opts.StaticGuardPrune {
+			in.StaticGuards = a.st.Guards
 		}
-		if p.opts.StaticGuardPrune {
-			in.StaticGuards = st.Guards
-		}
-		if p.opts.StaticOrderPrune {
-			in.StaticOrders = st.Orders.PruneMap()
+		if opts.StaticOrderPrune {
+			in.StaticOrders = a.st.Orders.PruneMap()
 		}
 	}
 	var col *provenance.Collector
-	if p.opts.Evidence {
-		col = provenance.NewCollector(tr, g, conv, ls, p.opts.EvidenceOptions)
+	if opts.Evidence {
+		col = provenance.NewCollector(a.tr, g, conv, ls, opts.EvidenceOptions)
 		in.Collector = col
 	}
 	spDet := sp.Child("detect")
-	res, err := detect.Detect(in, p.opts.Detect)
-	var stacks map[int][]trace.MethodID
-	if err == nil {
-		stacks = detect.RaceStacks(tr, res.Races)
-	}
+	res, err := detect.DetectExtracted(in, a.ext, opts.Detect)
 	spDet.End()
 	if err != nil {
 		cTraceErrors.Inc()
 		return nil, err
 	}
 	out := &Result{
-		Trace:        tr,
+		Trace:        a.tr,
 		Races:        res.Races,
 		Stats:        res.Stats,
 		GraphStats:   g.Stats(),
@@ -268,11 +311,11 @@ func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error
 		Graph:        g,
 		Conventional: conv,
 		Locks:        ls,
-		Static:       st,
+		Static:       a.st,
 		Evidence:     col,
-		Stacks:       stacks,
+		Stacks:       a.ext.Stacks(),
 	}
-	if p.opts.Naive {
+	if opts.Naive {
 		spN := sp.Child("detect.naive")
 		out.Naive = detect.Naive(g)
 		spN.End()
@@ -306,40 +349,6 @@ func (p *Pipeline) AnalyzeAll(traces []*trace.Trace) ([]*Result, error) {
 // Analyze is the one-shot convenience form of Pipeline.Analyze.
 func Analyze(tr *trace.Trace, opts Options) (*Result, error) {
 	return New(opts).Analyze(tr)
-}
-
-// Source is one input to AnalyzeSources: a materialized trace (batch
-// mode) or a reader whose entries are streamed (Reader non-nil wins).
-type Source struct {
-	Trace  *trace.Trace
-	Reader io.Reader
-}
-
-// AnalyzeSources analyzes a mixed batch of materialized and streamed
-// inputs under the same bounded worker pool as AnalyzeAll, returning
-// results in input order. Batch and streamed inputs produce identical
-// results for identical traces; the mode only changes peak memory.
-func (p *Pipeline) AnalyzeSources(srcs []Source) ([]*Result, error) {
-	results := make([]*Result, len(srcs))
-	errs := make([]error, len(srcs))
-	cBatchTraces.Add(int64(len(srcs)))
-	ForEach(p.opts.Workers, len(srcs), func(i int) {
-		if srcs[i].Reader != nil {
-			sp := obs.Start("pipeline.analyze.stream", obs.Int("idx", i))
-			results[i], errs[i] = p.AnalyzeStreamSpanned(srcs[i].Reader, sp)
-			sp.End()
-			return
-		}
-		sp := obs.Start("pipeline.analyze", obs.Int("idx", i))
-		results[i], errs[i] = p.AnalyzeSpanned(srcs[i].Trace, sp)
-		sp.End()
-	})
-	for i, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("analysis: trace %d: %w", i, err)
-		}
-	}
-	return results, nil
 }
 
 // ForEach calls fn(i) for every i in [0, n) from up to `workers`

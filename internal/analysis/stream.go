@@ -1,25 +1,24 @@
-// Streaming mode: the same pipeline advanced one entry at a time.
+// Streaming mode: the same driver advanced one entry at a time as
+// entries are decoded.
 //
-// Batch analysis materializes the trace, then runs three passes over
-// it. Streaming analysis turns each pass's scan into a per-event
-// consumer — hb.Scanner, lockset.Tracker, detect.Extractor, and the
-// structural trace.Validator — and feeds every decoded entry through
-// all four before discarding it. What survives an entry's consumption
-// is a windowed frontier of compact records:
+// A StreamAnalyzer is the analyzer core (pipeline.go) plus the
+// structural trace.Validator and optional entry retention. Each
+// decoded entry passes the validator, then every per-entry pass —
+// hb.Scanner, lockset.Tracker, detect.Extractor — and is discarded.
+// What survives is a windowed frontier of compact records:
 //
 //   - hb: one reduced node + redOp record per reduced operation
 //     (begins/ends/sends/...), never the scalar accesses between them;
-//   - lockset: a snapshot only at pointer accesses whose set is
-//     non-empty (the only entries the detector ever queries);
-//   - detect: use/free/alloc/guard records plus the per-task
-//     last-read frontier; a read retires as soon as a newer read of
-//     the same object supersedes it or a deref promotes it.
+//   - lockset: a snapshot only at entries whose held set is non-empty;
+//   - detect: use/free/alloc/guard records, the call stacks at uses
+//     and frees, and the per-task last-read frontier; a read retires
+//     as soon as a newer read of the same object supersedes it or a
+//     deref promotes it.
 //
 // Peak memory is therefore O(reduced nodes + accesses-of-interest),
-// not O(trace): the dominant cost of long traces — the entry slice
-// itself and the per-entry lockset snapshots — is never allocated.
-// The happens-before closure itself is still built at Finish over the
-// reduced nodes, exactly as in batch mode, so results are
+// not O(trace): the entry slice itself is never allocated. The
+// happens-before closure is built at Finish over the reduced nodes by
+// the same finish step batch Analyze runs, so results are
 // bit-identical; only the entry stream is never retained.
 //
 // Evidence and the naive baseline need the full entry list (call
@@ -32,14 +31,8 @@ package analysis
 import (
 	"fmt"
 	"io"
-	"sync"
 
-	"cafa/internal/detect"
-	"cafa/internal/hb"
-	"cafa/internal/lockset"
 	"cafa/internal/obs"
-	"cafa/internal/provenance"
-	"cafa/internal/static"
 	"cafa/internal/trace"
 )
 
@@ -57,31 +50,17 @@ var (
 // stream_window_live gauge.
 const windowSampleEvery = 4096
 
-// Consumer is the per-event analysis interface: entries arrive in
-// trace order, each at most once, and Finish seals the analysis.
-type Consumer interface {
-	Consume(e trace.Entry) error
-	Finish() (*Result, error)
-}
-
 // StreamAnalyzer runs the pipeline over a stream of entries. Create
 // one per trace with Pipeline.NewStream, Consume every entry, then
-// Finish. It implements Consumer.
+// Finish.
 type StreamAnalyzer struct {
-	p   *Pipeline
-	hdr *trace.Trace
-	st  *static.Result
+	a   *analyzer
+	val *trace.Validator
 
-	val     *trace.Validator
-	scanner *hb.Scanner
-	locks   *lockset.Tracker
-	ext     *detect.Extractor
-
-	// retain keeps decoded entries in hdr: required by Evidence
-	// (provenance walks the trace) and Naive. Without them the entry
-	// stream is discarded and memory stays O(window).
+	// retain keeps decoded entries in the header trace: required by
+	// Evidence (provenance walks the trace) and Naive. Without them
+	// the entry stream is discarded and memory stays O(window).
 	retain bool
-	i      int
 }
 
 // NewStream returns a StreamAnalyzer over a header trace (task and
@@ -89,26 +68,10 @@ type StreamAnalyzer struct {
 // force entry retention — the analysis still streams, but memory is
 // O(trace) again because provenance needs the materialized entries.
 func (p *Pipeline) NewStream(hdr *trace.Trace) *StreamAnalyzer {
-	var st *static.Result
-	if p.opts.wantStatic() {
-		p.staticOnce.Do(func() {
-			p.static = static.AnalyzeOpts(p.opts.Program, static.Options{Roots: p.opts.Roots})
-		})
-		st = p.static
-	}
-	sources := p.opts.DerefSources
-	if st != nil && p.opts.Interproc {
-		sources = st.Derefs
-	}
 	return &StreamAnalyzer{
-		p:       p,
-		hdr:     hdr,
-		st:      st,
-		val:     trace.NewValidator(hdr),
-		scanner: hb.NewScanner(hdr),
-		locks:   lockset.NewTracker(0),
-		ext:     detect.NewExtractor(sources, true),
-		retain:  p.opts.Evidence || p.opts.Naive,
+		a:      p.newAnalyzer(hdr, nil),
+		val:    trace.NewValidator(hdr),
+		retain: p.opts.Evidence || p.opts.Naive,
 	}
 }
 
@@ -117,36 +80,31 @@ func (p *Pipeline) NewStream(hdr *trace.Trace) *StreamAnalyzer {
 func (sa *StreamAnalyzer) Retaining() bool { return sa.retain }
 
 // Entries returns how many entries have been consumed so far.
-func (sa *StreamAnalyzer) Entries() int { return sa.i }
+func (sa *StreamAnalyzer) Entries() int { return sa.a.n }
 
-// Consume advances every pass by one entry. Entries must arrive in
-// trace order; the entry is not retained unless Retaining.
+// Consume validates one entry and advances every pass by it. Entries
+// must arrive in trace order; the entry is not retained unless
+// Retaining.
 func (sa *StreamAnalyzer) Consume(e trace.Entry) error {
-	i := sa.i
 	if err := sa.val.Entry(&e); err != nil {
 		return err
 	}
-	if err := sa.scanner.Consume(&e); err != nil {
+	if err := sa.a.consume(&e); err != nil {
 		return err
 	}
-	if err := sa.locks.Consume(i, &e); err != nil {
-		return err
-	}
-	sa.ext.Consume(i, &e)
 	if sa.retain {
-		sa.hdr.Entries = append(sa.hdr.Entries, e)
+		sa.a.tr.Entries = append(sa.a.tr.Entries, e)
 	}
-	sa.i++
-	if sa.i%windowSampleEvery == 0 {
-		gStreamWindow.Set(int64(sa.ext.Live()))
+	if sa.a.n%windowSampleEvery == 0 {
+		gStreamWindow.Set(int64(sa.a.ext.Live()))
 	}
 	return nil
 }
 
-// Finish validates trace-level invariants, builds both causality
-// models concurrently over the scanned frontier, and runs the
-// detector over the streamed extraction. The Result is identical to
-// batch Analyze on the materialized trace.
+// Finish validates trace-level invariants, then runs the finish step
+// batch Analyze runs: both causality models over the scanned frontier
+// and the detector over the streamed extraction. The Result is
+// identical to batch Analyze on the materialized trace.
 func (sa *StreamAnalyzer) Finish() (*Result, error) {
 	sp := obs.Start("pipeline.analyze.stream")
 	defer sp.End()
@@ -156,99 +114,22 @@ func (sa *StreamAnalyzer) Finish() (*Result, error) {
 // FinishSpanned is Finish under a caller-owned span (nil is fine);
 // the caller Ends sp.
 func (sa *StreamAnalyzer) FinishSpanned(sp *obs.Span) (*Result, error) {
-	gStreamWindow.Set(int64(sa.ext.Live()))
+	n := sa.a.n
+	gStreamWindow.Set(int64(sa.a.ext.Live()))
 	if err := sa.val.Finish(); err != nil {
 		cTraceErrors.Inc()
 		return nil, err
 	}
-	if sa.hdr.StreamLen != 0 && sa.i != sa.hdr.StreamLen {
+	if hdr := sa.a.tr; hdr.StreamLen != 0 && n != hdr.StreamLen {
 		cTraceErrors.Inc()
-		return nil, fmt.Errorf("analysis: stream ended after %d of %d declared entries", sa.i, sa.hdr.StreamLen)
+		return nil, fmt.Errorf("analysis: stream ended after %d of %d declared entries", n, hdr.StreamLen)
 	}
-	spScan := sp.Child("hb.prescan")
-	ps := sa.scanner.Finish()
-	spScan.End()
-
-	var (
-		wg            sync.WaitGroup
-		g, conv       *hb.Graph
-		gErr, convErr error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		spG := sp.Fork("hb.graph")
-		defer spG.End()
-		g, gErr = hb.BuildFromScan(ps, hb.Options{})
-	}()
-	go func() {
-		defer wg.Done()
-		spC := sp.Fork("hb.conventional")
-		defer spC.End()
-		conv, convErr = hb.BuildFromScan(ps, hb.Options{Conventional: true})
-	}()
-	wg.Wait()
-	if gErr != nil {
-		cTraceErrors.Inc()
-		return nil, gErr
-	}
-	if convErr != nil {
-		cTraceErrors.Inc()
-		return nil, convErr
-	}
-	ls := sa.locks.Sets()
-	in := detect.Input{
-		Trace:        sa.hdr,
-		Graph:        g,
-		Conventional: conv,
-		Locks:        ls,
-		DerefSources: sa.p.opts.DerefSources,
-	}
-	if sa.st != nil {
-		if sa.p.opts.Interproc {
-			in.DerefSources = sa.st.Derefs
-		}
-		if sa.p.opts.StaticGuardPrune {
-			in.StaticGuards = sa.st.Guards
-		}
-		if sa.p.opts.StaticOrderPrune {
-			in.StaticOrders = sa.st.Orders.PruneMap()
-		}
-	}
-	var col *provenance.Collector
-	if sa.p.opts.Evidence {
-		col = provenance.NewCollector(sa.hdr, g, conv, ls, sa.p.opts.EvidenceOptions)
-		in.Collector = col
-	}
-	spDet := sp.Child("detect")
-	res, err := detect.DetectExtracted(in, sa.ext, sa.p.opts.Detect)
-	spDet.End()
+	out, err := sa.a.finish(sp)
 	if err != nil {
-		cTraceErrors.Inc()
 		return nil, err
 	}
-	out := &Result{
-		Trace:        sa.hdr,
-		Races:        res.Races,
-		Stats:        res.Stats,
-		GraphStats:   g.Stats(),
-		ConvStats:    conv.Stats(),
-		Graph:        g,
-		Conventional: conv,
-		Locks:        ls,
-		Static:       sa.st,
-		Evidence:     col,
-		Stacks:       sa.ext.Stacks(),
-	}
-	if sa.p.opts.Naive {
-		spN := sp.Child("detect.naive")
-		out.Naive = detect.Naive(g)
-		spN.End()
-	}
 	cStreamTraces.Inc()
-	cStreamEntries.Add(int64(sa.i))
-	cTracesAnalyzed.Inc()
-	sp.SetAttr(obs.Int("races", len(out.Races)))
+	cStreamEntries.Add(int64(n))
 	return out, nil
 }
 

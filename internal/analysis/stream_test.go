@@ -57,21 +57,17 @@ func assertStreamMatchesBatch(t *testing.T, tr *trace.Trace, opts Options) {
 		if got.Trace.Len() != tr.Len() {
 			t.Errorf("%s: Len() = %d, want %d", name, got.Trace.Len(), tr.Len())
 		}
-		// Batch and stream fill Stacks differently (one sweep over
-		// the races versus capture at every use and free); they must
-		// agree on every index report rendering queries.
+		// Report rendering queries the stack at every race's use
+		// deref and free.
 		for _, r := range want.Races {
 			for _, idx := range []int{r.Use.DerefIdx, r.Free.Idx} {
-				ws, wok := want.Stacks[idx]
-				gs, gok := got.Stacks[idx]
-				if !wok || !gok {
-					t.Errorf("%s: stack for idx %d: batch has %v, stream has %v", name, idx, wok, gok)
-					continue
-				}
-				if !reflect.DeepEqual(gs, ws) {
-					t.Errorf("%s: stack at %d: stream %v, batch %v", name, idx, gs, ws)
+				if _, ok := got.Stacks[idx]; !ok {
+					t.Errorf("%s: no stack for idx %d", name, idx)
 				}
 			}
+		}
+		if !reflect.DeepEqual(got.Stacks, want.Stacks) {
+			t.Errorf("%s: stacks differ:\n  stream: %v\n  batch:  %v", name, got.Stacks, want.Stacks)
 		}
 	}
 }
@@ -199,60 +195,33 @@ func TestStreamTruncationDetected(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSourcesMixed: batch and streamed inputs mix in one call
-// and come back in input order with identical results.
-func TestAnalyzeSourcesMixed(t *testing.T) {
-	var traces []*trace.Trace
-	for _, spec := range apps.Registry[:3] {
-		traces = append(traces, appTrace(t, spec))
+// TestStreamMatchesBatchErrors: batch and streaming analysis report
+// the same error for a malformed trace — the first fault in trace
+// order. Here a lockset double acquire at entry 2 precedes a duplicate
+// begin, so both must name the lockset fault, not the later hb one.
+func TestStreamMatchesBatchErrors(t *testing.T) {
+	tr := trace.New()
+	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+	for i, e := range []trace.Entry{
+		{Task: 1, Op: trace.OpBegin},
+		{Task: 1, Op: trace.OpLock, Lock: 5},
+		{Task: 1, Op: trace.OpLock, Lock: 5},
+		{Task: 1, Op: trace.OpBegin},
+		{Task: 1, Op: trace.OpUnlock, Lock: 5},
+		{Task: 1, Op: trace.OpEnd},
+	} {
+		e.Time = int64(i)
+		tr.Append(e)
 	}
-	bin0, _ := encodeBoth(t, traces[0])
-	_, txt2 := encodeBoth(t, traces[2])
-	srcs := []Source{
-		{Reader: bytes.NewReader(bin0)},
-		{Trace: traces[1]},
-		{Reader: bytes.NewReader(txt2)},
+	const want = "lockset: entry 2: lock l5 acquired twice by t1"
+	if _, err := Analyze(tr, Options{}); err == nil || err.Error() != want {
+		t.Errorf("batch: err = %v, want %q", err, want)
 	}
-	p := New(Options{Workers: 2})
-	results, err := p.AnalyzeSources(srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	for i, res := range results {
-		want, err := Analyze(traces[i], Options{})
-		if err != nil {
-			t.Fatal(err)
+	bin, txt := encodeBoth(t, tr)
+	for name, enc := range map[string][]byte{"binary": bin, "text": txt} {
+		if _, err := New(Options{}).AnalyzeStream(bytes.NewReader(enc)); err == nil || err.Error() != want {
+			t.Errorf("%s stream: err = %v, want %q", name, err, want)
 		}
-		if !reflect.DeepEqual(res.Races, want.Races) || res.Stats != want.Stats {
-			t.Errorf("source %d diverges from batch", i)
-		}
-	}
-
-	// A malformed streamed input (duplicate begin) fails its slot but
-	// not the others.
-	bad := trace.New()
-	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
-	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
-	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin, Time: 1})
-	var bb bytes.Buffer
-	if err := bad.Encode(&bb); err != nil {
-		t.Fatal(err)
-	}
-	results, err = p.AnalyzeSources([]Source{
-		{Trace: traces[0]},
-		{Reader: bytes.NewReader(bb.Bytes())},
-	})
-	if err == nil {
-		t.Fatal("want error for malformed streamed trace")
-	}
-	if results[0] == nil {
-		t.Error("good trace should still have a result")
-	}
-	if results[1] != nil {
-		t.Error("malformed trace should have a nil result")
 	}
 }
 

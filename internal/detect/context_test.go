@@ -220,6 +220,15 @@ func assertCallStacksMatchRef(t *testing.T, tr *trace.Trace, idxs []int) {
 	}
 }
 
+// extract runs the Extractor over a materialized trace.
+func extract(tr *trace.Trace) *extraction {
+	x := NewExtractor(nil)
+	for i := range tr.Entries {
+		x.Consume(i, &tr.Entries[i])
+	}
+	return x.ex
+}
+
 // TestCallStacksMatchReferenceOnApps sweeps the stacks at every
 // extracted use deref and free of the ten app models in one pass and
 // compares each with the per-index reference walk. The uses and frees
@@ -235,7 +244,7 @@ func TestCallStacksMatchReferenceOnApps(t *testing.T) {
 		if err := out.Sys.Run(); err != nil {
 			t.Fatal(err)
 		}
-		ex := extract(col.T, nil)
+		ex := extract(col.T)
 		var idxs []int
 		for _, u := range ex.uses {
 			idxs = append(idxs, u.DerefIdx)

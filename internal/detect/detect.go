@@ -303,7 +303,7 @@ func Detect(in Input, opts Options) (*Result, error) {
 	if in.Trace == nil || in.Graph == nil {
 		return nil, fmt.Errorf("detect: trace and graph are required")
 	}
-	x := NewExtractor(in.DerefSources, false)
+	x := NewExtractor(in.DerefSources)
 	tr := in.Trace
 	for i := range tr.Entries {
 		x.Consume(i, &tr.Entries[i])

@@ -99,23 +99,12 @@ var (
 	hStreamStall   = obs.NewHistogram("stream_read_stall_entries")
 )
 
-// extract scans the trace once. When sources is non-nil (the static
-// data-flow extension of §6.3), dereferences resolve to the exact
-// pointer-load site instead of the nearest same-object read.
-func extract(tr *trace.Trace, sources map[dataflow.Key]dataflow.Source) *extraction {
-	x := NewExtractor(sources, false)
-	for i := range tr.Entries {
-		x.Consume(i, &tr.Entries[i])
-	}
-	return x.ex
-}
-
-// Extractor is the streaming form of the extraction scan: entries are
-// consumed one at a time and discarded; only the compact use / free /
-// alloc / guard records and the per-task read frontier are retained.
-// In streaming mode it additionally captures the call stack live at
-// each use and free (a streamed trace cannot be swept again by
-// CallStacks later) and emits frontier-retirement metrics.
+// Extractor is the extraction scan as a per-entry consumer: entries
+// are consumed one at a time and may be discarded; only the compact
+// use / free / alloc / guard records and the per-task read frontier
+// are retained. It also captures the call stack live at each use and
+// free (a streamed trace cannot be swept again later) and emits
+// frontier-retirement metrics.
 type Extractor struct {
 	ex          *extraction
 	sources     map[dataflow.Key]dataflow.Source
@@ -123,16 +112,15 @@ type Extractor struct {
 	readsBySite map[trace.TaskID]map[siteKey]lastRead
 	usedReads   map[int]bool // read idx already promoted to a Use
 
-	streaming bool
-	calls     liveStacks
-	stacks    map[int][]trace.MethodID
-	live      int // unpromoted pinned reads (the frontier window)
+	calls  liveStacks
+	stacks map[int][]trace.MethodID
+	live   int // unpromoted pinned reads (the frontier window)
 }
 
-// NewExtractor returns an Extractor. streaming enables call-stack
-// capture at uses/frees and frontier metrics; the batch extract path
-// leaves it off; batch results sweep the trace once with CallStacks.
-func NewExtractor(sources map[dataflow.Key]dataflow.Source, streaming bool) *Extractor {
+// NewExtractor returns an Extractor. When sources is non-nil (the
+// static data-flow extension of §6.3), dereferences resolve to the
+// exact pointer-load site instead of the nearest same-object read.
+func NewExtractor(sources map[dataflow.Key]dataflow.Source) *Extractor {
 	x := &Extractor{
 		ex: &extraction{
 			guards:    make(map[trace.TaskID][]guard),
@@ -141,14 +129,11 @@ func NewExtractor(sources map[dataflow.Key]dataflow.Source, streaming bool) *Ext
 		sources:   sources,
 		reads:     make(map[trace.TaskID]map[trace.ObjID]lastRead),
 		usedReads: make(map[int]bool),
-		streaming: streaming,
+		calls:     liveStacks{},
+		stacks:    make(map[int][]trace.MethodID),
 	}
 	if sources != nil {
 		x.readsBySite = make(map[trace.TaskID]map[siteKey]lastRead)
-	}
-	if streaming {
-		x.calls = liveStacks{}
-		x.stacks = make(map[int][]trace.MethodID)
 	}
 	return x
 }
@@ -164,7 +149,7 @@ func (x *Extractor) retire(i, readIdx int) {
 func (x *Extractor) Live() int { return x.live }
 
 // Stacks returns the captured per-use/per-free call stacks keyed by
-// trace index (streaming mode only; nil otherwise).
+// trace index.
 func (x *Extractor) Stacks() map[int][]trace.MethodID { return x.stacks }
 
 // Consume processes entry i. Entries must arrive in trace order.
@@ -177,12 +162,10 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 			m = make(map[trace.ObjID]lastRead)
 			x.reads[e.Task] = m
 		}
-		if x.streaming {
-			if old, had := m[e.Value]; had && !x.usedReads[old.idx] {
-				x.retire(i, old.idx) // evicted by a newer read of the same object
-			} else {
-				x.live++
-			}
+		if old, had := m[e.Value]; had && !x.usedReads[old.idx] {
+			x.retire(i, old.idx) // evicted by a newer read of the same object
+		} else {
+			x.live++
 		}
 		m[e.Value] = lastRead{idx: i, vr: e.Var, pc: e.PC, method: e.Method}
 		if x.sources != nil {
@@ -199,9 +182,7 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 			ex.frees = append(ex.frees, Free{
 				Idx: i, Var: e.Var, Task: e.Task, Method: e.Method, PC: e.PC,
 			})
-			if x.streaming {
-				x.stacks[i] = x.calls.at(e.Task, e.Method)
-			}
+			x.stacks[i] = x.calls.at(e.Task, e.Method)
 		} else {
 			ex.allocs = append(ex.allocs, Alloc{Idx: i, Var: e.Var, Task: e.Task})
 			tv := taskVar{e.Task, e.Var}
@@ -240,11 +221,9 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 			ReadIdx: lr.idx, DerefIdx: i, Var: lr.vr, Obj: e.Value,
 			Task: e.Task, Method: e.Method, ReadPC: lr.pc, DerefPC: e.PC,
 		})
-		if x.streaming {
-			x.live--
-			x.retire(i, lr.idx) // promoted to a Use
-			x.stacks[i] = x.calls.at(e.Task, e.Method)
-		}
+		x.live--
+		x.retire(i, lr.idx) // promoted to a Use
+		x.stacks[i] = x.calls.at(e.Task, e.Method)
 
 	case trace.OpBranch:
 		g := guard{
@@ -257,9 +236,7 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 		ex.guards[e.Task] = append(ex.guards[e.Task], g)
 
 	case trace.OpInvoke, trace.OpReturn:
-		if x.streaming {
-			x.calls.step(e)
-		}
+		x.calls.step(e)
 	}
 }
 

@@ -12,20 +12,19 @@ import (
 	"cafa/internal/trace"
 )
 
-// Sets holds held-lock snapshots by entry index. Dense mode (the
-// batch Compute path) records every entry; sparse mode (the streaming
-// Tracker) records only the entries the detector ever queries —
-// pointer accesses — so memory is O(accesses), not O(trace).
-// Snapshots are interned: consecutive operations under an unchanged
-// lock set share one slice.
+// Sets holds held-lock snapshots by entry index. Only entries whose
+// held set is non-empty are recorded — a trace takes locks around a
+// small fraction of its entries — so memory is O(locked entries), not
+// O(trace), and an unrecorded entry reports no locks. Snapshots are
+// interned: consecutive entries under an unchanged lock set share one
+// slice.
 type Sets struct {
-	at     [][]trace.LockID
-	sparse map[int][]trace.LockID
+	at map[int][]trace.LockID
 }
 
 // Compute scans the trace once and records held-lock snapshots.
 func Compute(tr *trace.Trace) (*Sets, error) {
-	tk := NewTracker(len(tr.Entries))
+	tk := NewTracker()
 	for i := range tr.Entries {
 		if err := tk.Consume(i, &tr.Entries[i]); err != nil {
 			return nil, err
@@ -34,25 +33,19 @@ func Compute(tr *trace.Trace) (*Sets, error) {
 	return tk.Sets(), nil
 }
 
-// Tracker advances lock state one entry at a time. With a non-zero
-// size hint it records a dense snapshot per entry (the batch layout);
-// with hint 0 it records snapshots sparsely, only at entries whose
-// lock set the detector can later query (pointer reads and writes).
+// Tracker advances lock state one entry at a time, so a streamed
+// trace needs no materialized entry slice.
 type Tracker struct {
 	s    *Sets
 	held map[trace.TaskID][]trace.LockID
 }
 
-// NewTracker returns a Tracker. sizeHint is the entry count for dense
-// recording, or 0 for sparse (streaming) recording.
-func NewTracker(sizeHint int) *Tracker {
-	s := &Sets{}
-	if sizeHint > 0 {
-		s.at = make([][]trace.LockID, sizeHint)
-	} else {
-		s.sparse = make(map[int][]trace.LockID)
+// NewTracker returns a Tracker with no locks held.
+func NewTracker() *Tracker {
+	return &Tracker{
+		s:    &Sets{at: make(map[int][]trace.LockID)},
+		held: make(map[trace.TaskID][]trace.LockID),
 	}
-	return &Tracker{s: s, held: make(map[trace.TaskID][]trace.LockID)}
 }
 
 // Consume processes entry i. Entries must arrive in order.
@@ -88,16 +81,9 @@ func (tk *Tracker) Consume(i int, e *trace.Entry) error {
 		tk.held[e.Task] = next
 		cur = next
 	}
-	if tk.s.sparse != nil {
-		// Only pointer accesses are ever queried (use ReadIdx / free
-		// Idx are both pointer-access entries), and empty sets load as
-		// nil anyway.
-		if (e.Op == trace.OpPtrRead || e.Op == trace.OpPtrWrite) && len(cur) > 0 {
-			tk.s.sparse[i] = cur
-		}
-		return nil
+	if len(cur) > 0 {
+		tk.s.at[i] = cur
 	}
-	tk.s.at[i] = cur
 	return nil
 }
 
@@ -105,13 +91,8 @@ func (tk *Tracker) Consume(i int, e *trace.Entry) error {
 func (tk *Tracker) Sets() *Sets { return tk.s }
 
 // At returns the locks held at entry i (sorted; shared slice — do not
-// mutate). In sparse mode, unrecorded entries report no locks.
-func (s *Sets) At(i int) []trace.LockID {
-	if s.sparse != nil {
-		return s.sparse[i]
-	}
-	return s.at[i]
-}
+// mutate).
+func (s *Sets) At(i int) []trace.LockID { return s.at[i] }
 
 // Common returns the locks held at both entries i and j, sorted — the
 // witness behind a lockset prune. The result is freshly allocated.
