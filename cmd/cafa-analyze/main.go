@@ -54,7 +54,6 @@ import (
 	"cafa/internal/obs"
 	"cafa/internal/provenance"
 	"cafa/internal/report"
-	"cafa/internal/trace"
 )
 
 func main() {
@@ -129,7 +128,6 @@ type config struct {
 	explain   bool
 	context   bool
 	asJSON    bool
-	stream    bool
 	progress  bool
 	metrics   bool
 	traceOut  string
@@ -173,7 +171,6 @@ func parseArgs(args []string) (*config, error) {
 		explain   = fs.Bool("explain", false, "for each race, show why the conventional model hides it")
 		context   = fs.Bool("context", false, "print calling contexts for each race")
 		asJSON    = fs.Bool("json", false, "emit the race report as JSON")
-		stream    = fs.Bool("stream", false, "analyze each trace while decoding it, in bounded memory (incompatible with flags that need the materialized trace)")
 		progress  = fs.Bool("progress", false, "stream per-trace progress lines to stderr in batch mode")
 		metrics   = fs.Bool("metrics", false, "append the obs metric summary table to the report")
 		traceOut  = fs.String("trace-out", "", "write a Chrome trace-event JSON of the run to this file")
@@ -202,23 +199,13 @@ func parseArgs(args []string) (*config, error) {
 	if err != nil {
 		return nil, err
 	}
-	if *stream {
-		switch {
-		case *explain:
-			return nil, fmt.Errorf("-stream discards trace entries; -explain needs them (drop one)")
-		case *naive:
-			return nil, fmt.Errorf("-stream discards trace entries; -naive needs them (drop one)")
-		case *evidenceOut != "" || *dotOut != "" || *htmlOut != "" || *diff != "" || *debugAddr != "":
-			return nil, fmt.Errorf("-stream discards trace entries; the evidence flags (-evidence-out, -dot-out, -html-out, -diff, -debug-addr) need them (drop one)")
-		}
-	}
 	return &config{
 		inputs:  inputs,
 		confirm: *confirm,
 		workers: *workers,
 		naive:   *naive, keepDups: *keepDups,
 		noGuard: *noGuard, noAlloc: *noAlloc, noLocks: *noLocks,
-		stats: *stats, explain: *explain, context: *context, asJSON: *asJSON, stream: *stream,
+		stats: *stats, explain: *explain, context: *context, asJSON: *asJSON,
 		progress: *progress, metrics: *metrics, traceOut: *traceOut, debugAddr: *debugAddr,
 		evidenceOut: *evidenceOut, dotOut: *dotOut, htmlOut: *htmlOut, diff: *diff,
 	}, nil
@@ -386,10 +373,12 @@ func writeTraceEvents(path string) error {
 	return f.Close()
 }
 
-// analyzeFiles decodes and analyzes every input under the bounded
-// worker pool, preserving input order. Each input runs under one
-// "analyze" obs span (decode child, then the pipeline's pass spans),
-// which is what the -progress stream and -trace-out timeline key on.
+// analyzeFiles analyzes every input under the bounded worker pool,
+// preserving input order. Each input runs under one "analyze" obs
+// span (the ingest sweep, then the pipeline's finish spans), which is
+// what the -progress stream and -trace-out timeline key on. Entries
+// are retained only for the outputs that read them: evidence, -naive
+// and -explain.
 func analyzeFiles(cfg *config) ([]*report.FileReport, error) {
 	p := analysis.New(analysis.Options{
 		Detect: detect.Options{
@@ -398,8 +387,10 @@ func analyzeFiles(cfg *config) ([]*report.FileReport, error) {
 			DisableLockset:         cfg.noLocks,
 			KeepDuplicates:         cfg.keepDups,
 		},
-		Naive:    cfg.naive,
-		Evidence: cfg.wantEvidence(),
+		Naive: cfg.naive,
+		// -explain renders Explain paths through the retained
+		// entries; the collector it attaches changes no result.
+		Evidence: cfg.wantEvidence() || cfg.explain,
 		Workers:  cfg.workers,
 	})
 	reports := make([]*report.FileReport, len(cfg.inputs))
@@ -408,31 +399,13 @@ func analyzeFiles(cfg *config) ([]*report.FileReport, error) {
 		path := cfg.inputs[i]
 		sp := obs.Start("analyze", obs.String("file", path), obs.Int("idx", i))
 		defer sp.End()
-		if cfg.stream {
-			res, err := streamTrace(p, path, sp)
-			if err != nil {
-				sp.SetAttr(obs.String("error", err.Error()))
-				errs[i] = err
-				return
-			}
-			reports[i] = &report.FileReport{File: path, Trace: res.Trace, Result: res}
-			return
-		}
-		spDec := sp.Child("decode")
-		tr, err := loadTrace(path)
-		spDec.End()
+		res, err := streamTrace(p, path, sp)
 		if err != nil {
 			sp.SetAttr(obs.String("error", err.Error()))
 			errs[i] = err
 			return
 		}
-		res, err := p.AnalyzeSpanned(tr, sp)
-		if err != nil {
-			sp.SetAttr(obs.String("error", err.Error()))
-			errs[i] = fmt.Errorf("%s: %w", path, err)
-			return
-		}
-		reports[i] = &report.FileReport{File: path, Trace: tr, Result: res}
+		reports[i] = &report.FileReport{File: path, Trace: res.Trace, Result: res}
 		if cfg.live != nil && res.Evidence != nil {
 			in := res.Evidence.Bundle(path)
 			in.Stats = res.Stats
@@ -447,10 +420,9 @@ func analyzeFiles(cfg *config) ([]*report.FileReport, error) {
 	return reports, nil
 }
 
-// streamTrace analyzes path through the streaming pipeline: decoding,
-// validation, and the per-event passes advance together, so the trace
-// entries are never materialized. The result is identical to the
-// batch path for the same file.
+// streamTrace analyzes path in one sweep: decoding, validation, and
+// the per-entry passes advance together, so the trace entries are
+// materialized only when the options retain them.
 func streamTrace(p *analysis.Pipeline, path string, sp *obs.Span) (*analysis.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -462,22 +434,6 @@ func streamTrace(p *analysis.Pipeline, path string, sp *obs.Span) (*analysis.Res
 		return nil, &inputError{path: path, class: classDecode, err: err}
 	}
 	return res, nil
-}
-
-func loadTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, &inputError{path: path, class: classIO, err: err}
-	}
-	defer f.Close()
-	tr, err := trace.DecodeAuto(f)
-	if err != nil {
-		return nil, &inputError{path: path, class: classDecode, err: err}
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, &inputError{path: path, class: classDecode, err: fmt.Errorf("trace validation: %w", err)}
-	}
-	return tr, nil
 }
 
 func emitText(w io.Writer, cfg *config, reports []*report.FileReport) error {

@@ -104,8 +104,9 @@ func TestProgressParallelCompletes(t *testing.T) {
 }
 
 // TestErrorReportingAndExitCodes covers the two failure classes: a
-// missing input is an I/O error (exit 2), a malformed input is a
-// decode error (exit 1); both name the failing path.
+// missing input is an I/O error (exit 2), a malformed input —
+// undecodable, or decodable but failing validation — is a decode
+// error (exit 1); both name the failing path.
 func TestErrorReportingAndExitCodes(t *testing.T) {
 	dir := t.TempDir()
 
@@ -134,6 +135,24 @@ func TestErrorReportingAndExitCodes(t *testing.T) {
 	}
 	if got := exitCode(err); got != 1 {
 		t.Errorf("garbage input: exit code %d, want 1", got)
+	}
+
+	// A decodable trace that fails validation is malformed input too.
+	invalid := filepath.Join(dir, "invalid.trace")
+	bad := trace.New()
+	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
+	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin, Time: 1})
+	var buf bytes.Buffer
+	if err := bad.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(invalid, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{invalid}, io.Discard, io.Discard)
+	if err == nil || exitCode(err) != 1 || !strings.Contains(err.Error(), invalid) {
+		t.Errorf("invalid trace: err %v (exit %d), want exit 1 naming the path", err, exitCode(err))
 	}
 
 	// Batch mode: a good file plus a bad one still names the bad one.
@@ -213,7 +232,7 @@ func TestTraceOutShapeTenApps(t *testing.T) {
 		t.Errorf("got %d analyze spans, want %d", got, len(apps.Registry))
 	}
 	// The golden shape: every phase of the pipeline appears, ten times.
-	for _, phase := range []string{"decode", "hb.prescan", "hb.graph", "hb.conventional", "ingest", "detect"} {
+	for _, phase := range []string{"stream.ingest", "hb.prescan", "hb.graph", "hb.conventional", "detect"} {
 		if names[phase] != len(apps.Registry) {
 			t.Errorf("span %q appears %d times, want %d", phase, names[phase], len(apps.Registry))
 		}

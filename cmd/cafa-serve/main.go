@@ -3,13 +3,16 @@
 // evidence bundle, and HTML triage page the batch CLI writes —
 // byte-identical, from shared rendering code. Results are cached by
 // trace content and analysis configuration, so re-submitting a known
-// trace skips analysis entirely.
+// trace skips analysis entirely. A new trace is decoded, validated and
+// swept by the per-entry passes while the submit request is answered,
+// so a malformed trace is a 400 at submit; the queued job builds the
+// causality models and runs the detector.
 //
 // Usage:
 //
 //	cafa-serve [-addr :7420] [-workers N] [-queue 64]
 //	           [-job-timeout 2m] [-cache-mb 256] [-max-body-mb 64]
-//	           [-results-dir DIR] [-replay-scale 100] [-stream]
+//	           [-results-dir DIR] [-replay-scale 100]
 //	cafa-serve -selftest     # in-process end-to-end smoke run
 //
 // SIGINT/SIGTERM drain gracefully: intake stops, queued and running
@@ -44,7 +47,6 @@ func main() {
 		maxBodyMB   = flag.Int64("max-body-mb", 64, "largest accepted trace upload, MiB")
 		resultsDir  = flag.String("results-dir", "", "persist every finished job's artifacts under DIR/<job-id>/")
 		replayScale = flag.Int("replay-scale", 100, "app filler divisor for confirm replays")
-		stream      = flag.Bool("stream", false, "analyze uploads while the request body arrives (chunked transfer friendly)")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "shutdown budget for in-flight jobs")
 		selftest    = flag.Bool("selftest", false, "run the in-process end-to-end smoke test and exit")
 		version     = flag.Bool("version", false, "print version and exit")
@@ -63,7 +65,6 @@ func main() {
 		MaxBodyBytes: *maxBodyMB << 20,
 		ResultsDir:   *resultsDir,
 		ReplayScale:  *replayScale,
-		Stream:       *stream,
 	}
 	if *selftest {
 		if err := runSelftest(cfg); err != nil {

@@ -1,13 +1,14 @@
 // Package analysis orchestrates CAFA's offline half. One driver
 // serves both entry points: every pass is a per-entry consumer —
 // hb.Scanner, lockset.Tracker and detect.Extractor — and one forward
-// sweep feeds each entry through all of them. Analyze sweeps a
-// materialized trace; a StreamAnalyzer (stream.go) sweeps entries as
-// they are decoded. The shared finish step then builds the
-// event-driven and conventional causality models concurrently over
-// the scanned frontier and runs the use-free detector after the join.
-// A Pipeline additionally analyzes many traces in parallel under a
-// bounded worker pool (batch mode).
+// sweep feeds each entry through all of them. Ingest (stream.go)
+// sweeps trace bytes as they are decoded and validated — the path
+// both front ends take; Analyze sweeps a trace already in memory
+// (simulator output, the cafa façade). The shared finish step then
+// builds the event-driven and conventional causality models
+// concurrently over the scanned frontier and runs the use-free
+// detector after the join. A Pipeline additionally analyzes many
+// traces in parallel under a bounded worker pool (batch mode).
 //
 // Results are bit-identical to running the graph builds serially:
 // the Prescan is immutable, each graph owns its adjacency and closure,
@@ -35,7 +36,8 @@ import (
 // Pipeline observability (internal/obs). Each analyzed trace gets a
 // span tree: the per-trace span (one track — batch concurrency shows
 // up as parallel tracks) with a serial ingest child (the per-entry
-// sweep), a serial prescan child (base edges and anchor index), forked
+// sweep: "stream.ingest" over trace bytes, "ingest" over an in-memory
+// trace), a serial prescan child (base edges and anchor index), forked
 // spans for the two concurrently-built graphs, and a serial detect
 // child after the join. Counters track batch scheduling.
 var (
@@ -117,8 +119,9 @@ type Result struct {
 	// Locks are the per-operation held-lock sets.
 	Locks *lockset.Sets
 	// Static is the whole-program static analysis result when the
-	// pipeline computed one (Options.Program with Interproc or
-	// StaticGuardPrune). Shared across traces of one Pipeline.
+	// pipeline computed one (Options.Program with Interproc,
+	// StaticGuardPrune or StaticOrderPrune). Shared across traces of
+	// one Pipeline.
 	Static *static.Result
 	// Evidence is the provenance collector attached to the detector
 	// run, populated when Options.Evidence is set (nil otherwise).
@@ -155,8 +158,9 @@ func New(opts Options) *Pipeline {
 // Analyze runs the full offline pipeline on one trace: one sweep
 // feeds every entry to the per-entry passes, then the two causality
 // models are built concurrently and the detector joins them. The
-// trace is not validated here; callers that decoded it run
-// tr.Validate first.
+// trace is not validated here; it is for traces already in memory.
+// Trace bytes go through AnalyzeStream, which validates as it
+// decodes.
 func (p *Pipeline) Analyze(tr *trace.Trace) (*Result, error) {
 	sp := obs.Start("pipeline.analyze")
 	defer sp.End()
@@ -165,9 +169,9 @@ func (p *Pipeline) Analyze(tr *trace.Trace) (*Result, error) {
 
 // AnalyzeSpanned is Analyze under a caller-owned obs span (nil is
 // fine): per-pass sub-spans attach to it and it gains a "races"
-// attribute on success, so callers that label per-trace spans (the
-// cafa-analyze batch driver, the -progress stream) see the detector
-// outcome on the span itself. The caller Ends sp.
+// attribute on success (the finish step sets it, so a streamed
+// FinishSpanned does too), so callers that label per-trace spans see
+// the detector outcome on the span itself. The caller Ends sp.
 func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error) {
 	a := p.newAnalyzer(tr, sp)
 	spIn := sp.Child("ingest")

@@ -96,21 +96,13 @@ func TestStreamMatchesBatchOnSynth(t *testing.T) {
 }
 
 // TestStreamRetainsForEvidenceAndNaive: Evidence/Naive force entry
-// retention, and the retained trace supports provenance identically.
+// retention, and the retained trace supports provenance identically;
+// without them the entry stream is discarded.
 func TestStreamRetainsForEvidenceAndNaive(t *testing.T) {
 	tr := synth.Trace(synth.Config{Chain: 3, EventsPer: 4, FreeThreads: 3})
-	for _, opts := range []Options{{Naive: true}, {Evidence: true}} {
-		p := New(opts)
-		sa := p.NewStream(headerOf(tr))
-		if !sa.Retaining() {
-			t.Fatalf("opts %+v: expected retention", opts)
-		}
-		for _, e := range tr.Entries {
-			if err := sa.Consume(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := sa.Finish()
+	bin, _ := encodeBoth(t, tr)
+	for _, opts := range []Options{{Naive: true}, {Evidence: true}, {}} {
+		got, err := New(opts).AnalyzeStream(bytes.NewReader(bin))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,64 +126,30 @@ func TestStreamRetainsForEvidenceAndNaive(t *testing.T) {
 				t.Errorf("evidence records differ:\n  stream: %+v\n  batch:  %+v", a, b)
 			}
 		}
-		if len(got.Trace.Entries) != len(tr.Entries) {
-			t.Errorf("opts %+v: retained %d entries, want %d", opts, len(got.Trace.Entries), len(tr.Entries))
+		wantLen := len(tr.Entries)
+		if !opts.Evidence && !opts.Naive {
+			wantLen = 0
+		}
+		if len(got.Trace.Entries) != wantLen {
+			t.Errorf("opts %+v: retained %d entries, want %d", opts, len(got.Trace.Entries), wantLen)
+		}
+		if got.Trace.Len() != len(tr.Entries) {
+			t.Errorf("opts %+v: Len() = %d, want %d", opts, got.Trace.Len(), len(tr.Entries))
 		}
 	}
-	// Without those options the entry stream is discarded.
-	sa := New(Options{}).NewStream(headerOf(tr))
-	if sa.Retaining() {
-		t.Fatal("plain options should not retain")
-	}
-	for _, e := range tr.Entries {
-		if err := sa.Consume(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := sa.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace.Entries) != 0 {
-		t.Errorf("plain streaming retained %d entries", len(res.Trace.Entries))
-	}
-	if res.Trace.Len() != len(tr.Entries) {
-		t.Errorf("Len() = %d, want %d", res.Trace.Len(), len(tr.Entries))
-	}
-}
-
-// headerOf clones tr's tables without entries, as a stream decoder
-// would produce, with the declared entry count set.
-func headerOf(tr *trace.Trace) *trace.Trace {
-	hdr := trace.New()
-	for id, info := range tr.Tasks {
-		hdr.Tasks[id] = info
-	}
-	for id, n := range tr.Fields {
-		hdr.Fields[id] = n
-	}
-	for id, n := range tr.Methods {
-		hdr.Methods[id] = n
-	}
-	for id, n := range tr.Queues {
-		hdr.Queues[id] = n
-	}
-	hdr.StreamLen = len(tr.Entries)
-	return hdr
 }
 
 // TestStreamTruncationDetected: a stream that ends before the declared
-// entry count is an error, not a silent partial result.
+// entry count is an error, not a silent partial result, in both
+// codecs.
 func TestStreamTruncationDetected(t *testing.T) {
 	tr := synth.Trace(synth.Config{Chain: 2, EventsPer: 3, FreeThreads: 2})
-	sa := New(Options{}).NewStream(headerOf(tr))
-	for _, e := range tr.Entries[:len(tr.Entries)-5] {
-		if err := sa.Consume(e); err != nil {
-			t.Fatal(err)
+	bin, txt := encodeBoth(t, tr)
+	for name, enc := range map[string][]byte{"binary": bin, "text": txt} {
+		cut := enc[:len(enc)-len(enc)/8]
+		if _, err := New(Options{}).AnalyzeStream(bytes.NewReader(cut)); err == nil {
+			t.Errorf("%s: want error for truncated stream", name)
 		}
-	}
-	if _, err := sa.Finish(); err == nil {
-		t.Fatal("want error for truncated stream")
 	}
 }
 
@@ -227,20 +185,20 @@ func TestStreamMatchesBatchErrors(t *testing.T) {
 
 // TestStreamConsumeScalarAllocFree: consuming a scalar access must not
 // allocate. The padding between reduced operations is most of a long
-// trace, so a per-entry allocation there (e.g. the by-value entry
-// escaping through an error path) costs heap proportional to the
+// trace, so a per-entry allocation there (e.g. the entry escaping
+// through an error path) costs heap proportional to the
 // stream, not to the retained frontier.
 func TestStreamConsumeScalarAllocFree(t *testing.T) {
 	hdr := trace.New()
 	hdr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"}
-	sa := New(Options{}).NewStream(hdr)
-	if err := sa.Consume(trace.Entry{Task: 1, Op: trace.OpBegin}); err != nil {
+	sa := New(Options{}).newStream(hdr, nil)
+	if err := sa.consume(&trace.Entry{Task: 1, Op: trace.OpBegin}); err != nil {
 		t.Fatal(err)
 	}
 	var consumeErr error
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
-			if err := sa.Consume(trace.Entry{Task: 1, Op: op, Var: 3}); err != nil {
+			if err := sa.consume(&trace.Entry{Task: 1, Op: op, Var: 3}); err != nil {
 				consumeErr = err
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 
 	"cafa/internal/obs"
 	"cafa/internal/service/api"
-	"cafa/internal/trace"
 )
 
 // httpError pairs a status code with a client-facing message.
@@ -70,12 +68,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // text codec) as the request body, with optional ?name= (report
 // label; defaults to upload-<sha8>.trace) and ?app= (app model for
 // later confirm). 200 = served from cache, 202 = queued, 400 =
-// undecodable, 413 = too large, 429 = queue full, 503 = draining.
+// malformed (a decode, validation, lockset or hb fault found while
+// the trace is ingested, before it is queued), 413 = too large, 429 =
+// queue full, 503 = draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Stream {
-		s.handleSubmitStream(w, r)
-		return
-	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	raw, err := io.ReadAll(body)
 	if err != nil {
@@ -103,87 +99,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, j.snapshot())
-}
-
-// handleSubmitStream accepts a trace upload in streaming mode
-// (Config.Stream): entries are decoded, validated, and fed through the
-// per-event analysis passes while the body arrives, and the SHA-256
-// cache key is accumulated over the same bytes. Status codes match
-// handleSubmit; a cache hit is recognized once the body is complete
-// and served without finalizing the streamed analysis.
-func (s *Server) handleSubmitStream(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	h := sha256.New()
-	cr := &countingReader{r: io.TeeReader(body, h)}
-	dec, err := trace.NewStreamDecoder(cr)
-	if err != nil {
-		if cr.n == 0 {
-			writeErr(w, http.StatusBadRequest, "empty request body; POST the trace bytes")
-			return
-		}
-		writeErr(w, uploadErrStatus(err), "decode: %v", err)
-		return
-	}
-	sa := s.pipeline.NewStream(dec.Header())
-	for {
-		e, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			writeErr(w, uploadErrStatus(err), "decode: %v", err)
-			return
-		}
-		if err := sa.Consume(e); err != nil {
-			writeErr(w, http.StatusBadRequest, "trace validation: %v", err)
-			return
-		}
-	}
-	// Hash whatever the decoder left unread, so the cache key is the
-	// digest of the complete body, exactly as the buffered path hashes
-	// it.
-	if _, err := io.Copy(io.Discard, cr); err != nil {
-		writeErr(w, uploadErrStatus(err), "read: %v", err)
-		return
-	}
-	sha := hex.EncodeToString(h.Sum(nil))
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		name = "upload-" + sha[:8] + ".trace"
-	}
-	j, cached, herr := s.submitStreamed(sa, name, r.URL.Query().Get("app"), sha)
-	if herr != nil {
-		writeErr(w, herr.status, "%s", herr.msg)
-		return
-	}
-	status := http.StatusAccepted
-	if cached {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, j.snapshot())
-}
-
-// countingReader counts the bytes its reads deliver.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// uploadErrStatus distinguishes an over-limit body (413) from a
-// malformed one (400) in streaming mode, where MaxBytesReader errors
-// surface through the decoder.
-func uploadErrStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
 }
 
 // handleList returns every job in submission order.

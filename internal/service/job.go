@@ -5,7 +5,6 @@ import (
 
 	"cafa/internal/analysis"
 	"cafa/internal/service/api"
-	"cafa/internal/trace"
 )
 
 // job is one submission's lifecycle record. State mutations go
@@ -24,14 +23,9 @@ type job struct {
 	progress string
 	errMsg   string
 
-	// tr holds the decoded trace between accept and analysis; the
-	// worker drops it once artifacts exist so finished jobs retain
-	// only their rendered outputs.
-	tr *trace.Trace
-
-	// stream holds the per-event analysis advanced during the upload
-	// (Config.Stream); the worker finalizes it instead of running the
-	// batch pipeline, then drops it with tr.
+	// stream holds the ingested per-entry analysis between accept and
+	// the worker's finish step; the worker drops it once artifacts
+	// exist so finished jobs retain only their rendered outputs.
 	stream *analysis.StreamAnalyzer
 
 	// art is the rendered result (owned by the cache on hits). The

@@ -8,21 +8,27 @@
 // configuration (the rendering code is shared, internal/report).
 //
 // Results are keyed by content: SHA-256 of the uploaded trace bytes
-// plus a fingerprint of the analysis configuration. Re-submitting a
-// known trace is a cache hit that skips decoding and analysis
-// entirely. A job that crashes the pipeline fails alone (panic
-// isolation per job); a job that runs too long is abandoned at the
-// per-job timeout. POST /v1/jobs/{id}/confirm replays reported races
-// adversarially (internal/replay against the matching internal/apps
-// builder) and attaches Confirmation records to the job and its
-// evidence bundle. Shutdown drains queued and in-flight jobs and
-// persists their results before returning.
+// plus a fingerprint of the analysis configuration. The body is
+// buffered so the key exists before any work: re-submitting a known
+// trace is a cache hit that skips decoding and analysis entirely. On
+// a miss the submit handler runs the one ingest sweep
+// (analysis.Pipeline.Ingest: decode, validate, per-entry passes), so
+// a malformed trace — including a lockset or hb fault — answers 400
+// synchronously; the queued job only builds the causality models,
+// detects and renders. A job that crashes the finish step fails
+// alone (panic isolation per job); a job that runs too long is
+// abandoned at the per-job timeout. POST /v1/jobs/{id}/confirm
+// replays reported races adversarially (internal/replay against the
+// matching internal/apps builder) and attaches Confirmation records
+// to the job and its evidence bundle. Shutdown drains queued and
+// in-flight jobs and persists their results before returning.
 package service
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -82,14 +88,6 @@ type Config struct {
 	// ReplayScale divides app filler volume when rebuilding models
 	// for confirm replays (default 100, as cafa-bench -validate).
 	ReplayScale int
-	// Stream analyzes uploads while the request body arrives: the
-	// decoder, validator, and per-event analysis passes advance
-	// together during the upload, and the worker only finalizes (graph
-	// closure + detection). The cache is still keyed on the SHA-256 of
-	// the complete body, so a re-submitted trace is recognized once
-	// the upload finishes and served from cache. Artifacts are
-	// byte-identical to the buffered path.
-	Stream bool
 	// Analysis carries the pipeline configuration. Evidence is forced
 	// on (the service always serves evidence bundles); Workers is
 	// ignored (per-job passes already fan out, job-level concurrency
@@ -317,7 +315,6 @@ func (s *Server) runJob(j *job) {
 		s.persist(j, o.art)
 		s.setState(j, api.StateDone, func() {
 			j.art = o.art
-			j.tr = nil
 			j.stream = nil
 			j.progress = ""
 		})
@@ -331,7 +328,6 @@ func (s *Server) runJob(j *job) {
 func (s *Server) failJob(j *job, err error) {
 	s.setState(j, api.StateFailed, func() {
 		j.errMsg = err.Error()
-		j.tr = nil
 		j.stream = nil
 		j.progress = ""
 	})
@@ -339,9 +335,9 @@ func (s *Server) failJob(j *job, err error) {
 	s.persist(j, nil)
 }
 
-// analyze runs the pipeline on the job's trace and renders all served
-// artifacts. The root obs span carries the job id; the pipeline's
-// pass spans nest under it.
+// analyze finishes the job's ingested analysis (causality models and
+// detection) and renders all served artifacts. The root obs span
+// carries the job id; the pipeline's pass spans nest under it.
 func (s *Server) analyze(j *job) (*artifacts, error) {
 	sp := obs.Start("serve.job", obs.String("job", j.id), obs.String("name", j.name))
 	defer sp.End()
@@ -349,15 +345,7 @@ func (s *Server) analyze(j *job) (*artifacts, error) {
 		s.testHookAnalyze(j)
 	}
 	s.stage(j, "analyze")
-	var res *analysis.Result
-	var err error
-	if j.stream != nil {
-		// Streamed upload: the per-event passes already ran while the
-		// body arrived; only the closure and detection remain.
-		res, err = j.stream.FinishSpanned(sp)
-	} else {
-		res, err = s.pipeline.AnalyzeSpanned(j.tr, sp)
-	}
+	res, err := j.stream.FinishSpanned(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -447,10 +435,11 @@ func (s *Server) persistConfirm(j *job) {
 	}
 }
 
-// submit is the accept path: cache lookup by content, then decode,
-// then a non-blocking enqueue. It returns the registered job and
-// whether it was answered from the cache; errors carry an HTTP
-// status.
+// submit is the accept path: cache lookup by content, then one
+// ingest sweep that decodes, validates and runs the per-entry
+// analysis passes, then a non-blocking enqueue of the finish step. It
+// returns the registered job and whether it was answered from the
+// cache; errors carry an HTTP status.
 func (s *Server) submit(raw []byte, name, app, sha string) (*job, bool, *httpError) {
 	key := sha + "|" + s.fp
 	if art, ok := s.cache.get(key); ok {
@@ -468,54 +457,18 @@ func (s *Server) submit(raw []byte, name, app, sha string) (*job, bool, *httpErr
 		return j, true, nil
 	}
 	cCacheMisses.Inc()
-	tr, err := trace.DecodeAuto(bytes.NewReader(raw))
+	dec, err := trace.NewStreamDecoder(bytes.NewReader(raw))
 	if err != nil {
 		return nil, false, &httpError{http.StatusBadRequest, fmt.Sprintf("decode: %v", err)}
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, false, &httpError{http.StatusBadRequest, fmt.Sprintf("trace validation: %v", err)}
-	}
-	j, rerr := s.register(name, app, sha)
-	if rerr != nil {
-		return nil, false, &httpError{http.StatusServiceUnavailable, rerr.Error()}
-	}
-	j.tr = tr
-	select {
-	case s.queue <- j:
-		gQueueDepth.Set(int64(len(s.queue)))
-		return j, false, nil
-	default:
-		// Queue full: reject without blocking. The job record is
-		// withdrawn — a 429 submission never existed.
-		s.withdraw(j)
-		cJobsRejected.Inc()
-		return nil, false, &httpError{http.StatusTooManyRequests,
-			fmt.Sprintf("job queue full (%d queued); retry later", s.cfg.QueueDepth)}
-	}
-}
-
-// submitStreamed is the accept path for a streamed upload
-// (Config.Stream): the per-event analysis already ran while the body
-// arrived, so there is no decode step — just the post-upload cache
-// lookup and a non-blocking enqueue of the finalization work. On a
-// cache hit the streamed analysis is discarded unfinished.
-func (s *Server) submitStreamed(sa *analysis.StreamAnalyzer, name, app, sha string) (*job, bool, *httpError) {
-	key := sha + "|" + s.fp
-	if art, ok := s.cache.get(key); ok {
-		cCacheHits.Inc()
-		j, err := s.register(name, app, sha)
-		if err != nil {
-			return nil, false, &httpError{http.StatusServiceUnavailable, err.Error()}
+	sa, err := s.pipeline.Ingest(dec, nil)
+	if err != nil {
+		phase := "trace validation"
+		if errors.As(err, new(*trace.PosError)) {
+			phase = "decode"
 		}
-		s.setState(j, api.StateDone, func() {
-			j.cached = true
-			j.art = art
-		})
-		cJobsCompleted.Inc()
-		s.persist(j, art)
-		return j, true, nil
+		return nil, false, &httpError{http.StatusBadRequest, fmt.Sprintf("%s: %v", phase, err)}
 	}
-	cCacheMisses.Inc()
 	j, rerr := s.register(name, app, sha)
 	if rerr != nil {
 		return nil, false, &httpError{http.StatusServiceUnavailable, rerr.Error()}
@@ -526,6 +479,8 @@ func (s *Server) submitStreamed(sa *analysis.StreamAnalyzer, name, app, sha stri
 		gQueueDepth.Set(int64(len(s.queue)))
 		return j, false, nil
 	default:
+		// Queue full: reject without blocking. The job record is
+		// withdrawn — a 429 submission never existed.
 		s.withdraw(j)
 		cJobsRejected.Inc()
 		return nil, false, &httpError{http.StatusTooManyRequests,

@@ -177,9 +177,8 @@ func entryOffset(t testing.TB, tr *trace.Trace, k int) int {
 }
 
 // TestBodyLimitInsideEntries cuts a valid binary trace inside its
-// entry section, on buffered and streaming servers alike: a body the
-// limit cuts answers 413, and a body that simply ends mid-entry
-// answers 400 naming the entry and its offset.
+// entry section: a body the limit cuts answers 413, and a body that
+// simply ends mid-entry answers 400 naming the entry and its offset.
 func TestBodyLimitInsideEntries(t *testing.T) {
 	raw := testTrace(t, 1)
 	tr, err := trace.Decode(bytes.NewReader(raw))
@@ -191,27 +190,25 @@ func TestBodyLimitInsideEntries(t *testing.T) {
 		t.Fatalf("%d entries: entryOffset needs counts of the same varint width", len(tr.Entries))
 	}
 	start := entryOffset(t, tr, k)
-	for _, stream := range []bool{false, true} {
-		for _, limit := range []int{start, start + 1, start + 3} {
-			s := newTestServer(t, Config{Workers: 1, Stream: stream, MaxBodyBytes: int64(limit)})
-			if rec, _ := post(t, s, raw, ""); rec.Code != http.StatusRequestEntityTooLarge {
-				t.Errorf("stream=%v limit=%d: status %d, want 413: %s", stream, limit, rec.Code, rec.Body.String())
-			}
+	for _, limit := range []int{start, start + 1, start + 3} {
+		s := newTestServer(t, Config{Workers: 1, MaxBodyBytes: int64(limit)})
+		if rec, _ := post(t, s, raw, ""); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("limit=%d: status %d, want 413: %s", limit, rec.Code, rec.Body.String())
 		}
-		// Cut one byte into entry k: the op byte is there, the task
-		// varint's first byte is not.
-		s := newTestServer(t, Config{Workers: 1, Stream: stream})
-		rec, _ := post(t, s, raw[:start+1], "")
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("stream=%v truncated: status %d, want 400", stream, rec.Code)
-		}
-		var e api.Error
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("decode: trace: decode entry %d at byte %d: EOF", k, start); e.Error != want {
-			t.Errorf("stream=%v truncated: message %q, want %q", stream, e.Error, want)
-		}
+	}
+	// Cut one byte into entry k: the op byte is there, the task
+	// varint's first byte is not.
+	s := newTestServer(t, Config{Workers: 1})
+	rec, _ := post(t, s, raw[:start+1], "")
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("truncated: status %d, want 400", rec.Code)
+	}
+	var e api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("decode: trace: decode entry %d at byte %d: EOF", k, start); e.Error != want {
+		t.Errorf("truncated: message %q, want %q", e.Error, want)
 	}
 }
 

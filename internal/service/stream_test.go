@@ -13,8 +13,9 @@ import (
 	"cafa/internal/trace"
 )
 
-// TestStreamSubmitParity: a streaming server serves byte-identical
-// artifacts to a buffered one for the same trace, over both codecs.
+// TestStreamSubmitParity: the binary and text encodings of one trace
+// stream through the same ingest sweep and serve byte-identical
+// artifacts.
 func TestStreamSubmitParity(t *testing.T) {
 	raw := testTrace(t, 1)
 	tr, err := trace.Decode(bytes.NewReader(raw))
@@ -25,41 +26,38 @@ func TestStreamSubmitParity(t *testing.T) {
 	if err := tr.EncodeText(&txt); err != nil {
 		t.Fatal(err)
 	}
-	buffered := newTestServer(t, Config{Workers: 2})
-	streamed := newTestServer(t, Config{Workers: 2, Stream: true})
-	for name, enc := range map[string][]byte{"binary": raw, "text": txt.Bytes()} {
-		var bodies [2]map[string][]byte
-		for i, s := range []*Server{buffered, streamed} {
-			rec, j := post(t, s, enc, "?name=zxing.trace")
-			if rec.Code != http.StatusAccepted {
-				t.Fatalf("%s: submit = %d: %s", name, rec.Code, rec.Body.String())
-			}
-			j = waitDone(t, s, j.ID)
-			if j.State != api.StateDone {
-				t.Fatalf("%s: job = %+v", name, j)
-			}
-			bodies[i] = map[string][]byte{}
-			for _, path := range []string{"/report", "/evidence", "/triage"} {
-				rec := get(t, s, "/v1/jobs/"+j.ID+path)
-				if rec.Code != http.StatusOK {
-					t.Fatalf("%s%s = %d", name, path, rec.Code)
-				}
-				bodies[i][path] = append([]byte(nil), rec.Body.Bytes()...)
-			}
+	s := newTestServer(t, Config{Workers: 2})
+	var bodies [2]map[string][]byte
+	for i, enc := range [][]byte{raw, txt.Bytes()} {
+		rec, j := post(t, s, enc, "?name=zxing.trace")
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("upload %d: submit = %d: %s", i, rec.Code, rec.Body.String())
 		}
+		j = waitDone(t, s, j.ID)
+		if j.State != api.StateDone {
+			t.Fatalf("upload %d: job = %+v", i, j)
+		}
+		bodies[i] = map[string][]byte{}
 		for _, path := range []string{"/report", "/evidence", "/triage"} {
-			if !bytes.Equal(bodies[0][path], bodies[1][path]) {
-				t.Errorf("%s: %s differs between buffered and streamed servers", name, path)
+			rec := get(t, s, "/v1/jobs/"+j.ID+path)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("upload %d: %s = %d", i, path, rec.Code)
 			}
+			bodies[i][path] = append([]byte(nil), rec.Body.Bytes()...)
+		}
+	}
+	for _, path := range []string{"/report", "/evidence", "/triage"} {
+		if !bytes.Equal(bodies[0][path], bodies[1][path]) {
+			t.Errorf("%s differs between the binary and text uploads", path)
 		}
 	}
 }
 
 // TestStreamCacheHitAfterUpload: the cache key is the digest of the
-// complete body, so a re-submitted trace is served from cache even
-// though streaming cannot short-circuit the upload.
+// complete body, so a re-submitted trace is served from cache without
+// a second ingest.
 func TestStreamCacheHitAfterUpload(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 2, Stream: true})
+	s := newTestServer(t, Config{Workers: 2})
 	raw := testTrace(t, 2)
 
 	rec, j := post(t, s, raw, "")
@@ -96,9 +94,9 @@ func TestStreamCacheHitAfterUpload(t *testing.T) {
 
 // TestStreamChunkedUpload: the body arrives over a pipe in small
 // chunks (no Content-Length, as with chunked transfer encoding); the
-// analysis ingests it as it arrives and completes normally.
+// handler reads it whole, ingests it, and the job completes normally.
 func TestStreamChunkedUpload(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, Stream: true})
+	s := newTestServer(t, Config{Workers: 1})
 	raw := testTrace(t, 3)
 
 	pr, pw := io.Pipe()
@@ -138,10 +136,10 @@ func TestStreamChunkedUpload(t *testing.T) {
 	}
 }
 
-// TestStreamSubmitErrors: streaming rejects garbage, validation
-// failures, and empty bodies with the same statuses as buffered mode.
+// TestStreamSubmitErrors: submit rejects garbage, validation
+// failures, and empty bodies with 400.
 func TestStreamSubmitErrors(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, Stream: true})
+	s := newTestServer(t, Config{Workers: 1})
 
 	if rec, _ := post(t, s, []byte("not a trace at all"), ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("garbage = %d, want 400", rec.Code)
@@ -167,5 +165,43 @@ func TestStreamSubmitErrors(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "validation") {
 		t.Errorf("invalid trace message = %s", rec.Body.String())
+	}
+}
+
+// TestSubmitRejectsPerEntryFaults: the per-entry analysis passes run
+// in the submit sweep, so a trace whose first fault is a lockset
+// double acquire answers 400 naming that fault — it is never queued
+// as a job that would fail later.
+func TestSubmitRejectsPerEntryFaults(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	bad := trace.New()
+	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+	for i, e := range []trace.Entry{
+		{Task: 1, Op: trace.OpBegin},
+		{Task: 1, Op: trace.OpLock, Lock: 5},
+		{Task: 1, Op: trace.OpLock, Lock: 5},
+		{Task: 1, Op: trace.OpUnlock, Lock: 5},
+		{Task: 1, Op: trace.OpEnd},
+	} {
+		e.Time = int64(i)
+		bad.Append(e)
+	}
+	var buf bytes.Buffer
+	if err := bad.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := post(t, s, buf.Bytes(), "")
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("lockset fault = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	var e api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.Error, "lockset: entry 2: lock l5 acquired twice by t1") {
+		t.Errorf("message %q does not name the lockset fault", e.Error)
+	}
+	if n := len(s.statsSnapshot().JobsByState); n != 0 {
+		t.Errorf("rejected upload left %d job states behind", n)
 	}
 }

@@ -135,11 +135,10 @@ func decodeNext(r io.Reader) (*Trace, error) {
 	}
 	tr := d.Header()
 	for {
-		e, err := d.Next()
-		if err == io.EOF {
+		var e Entry
+		if err := d.Next(&e); err == io.EOF {
 			break
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, err
 		}
 		tr.Entries = append(tr.Entries, e)

@@ -158,20 +158,12 @@ func (d *StreamDecoder) Header() *Trace { return d.hdr }
 // Len returns the declared entry count.
 func (d *StreamDecoder) Len() int { return d.declared }
 
-// Next returns the next entry, or io.EOF after the declared count has
-// been delivered. Decode failures return a *PosError and poison the
-// decoder (subsequent calls repeat the error).
-func (d *StreamDecoder) Next() (Entry, error) {
-	var e Entry
-	if err := d.entry(&e); err != nil {
-		return Entry{}, err
-	}
-	return e, nil
-}
-
-// entry decodes the next entry into *e, which must be zero. It is
-// Next without the copy, so collect can decode into the Entries slot.
-func (d *StreamDecoder) entry(e *Entry) error {
+// Next decodes the next entry into *e, which must be zero, so a
+// caller decodes straight into the entry's final home. It returns
+// io.EOF after the declared count has been delivered. Decode failures
+// return a *PosError and poison the decoder (subsequent calls repeat
+// the error).
+func (d *StreamDecoder) Next(e *Entry) error {
 	if d.err == nil && d.next >= d.declared {
 		d.err = io.EOF
 	}
@@ -229,31 +221,6 @@ func (d *StreamDecoder) textEntry(e *Entry) error {
 	return nil
 }
 
-// DecodeStream sniffs the format and invokes fn once per entry in
-// order, stopping at the first error (decode failure or a non-nil
-// return from fn). It returns the header trace — tables plus
-// StreamLen, no Entries — so callers have the metadata without the
-// O(trace) entry slice.
-func DecodeStream(rd io.Reader, fn func(i int, e Entry) error) (*Trace, error) {
-	d, err := NewStreamDecoder(rd)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := fn(d.next-1, e); err != nil {
-			return nil, err
-		}
-	}
-	return d.hdr, nil
-}
-
 // collect drains a StreamDecoder into its header trace, producing the
 // same *Trace the historical batch decoders returned. Each entry is
 // decoded in place in its Entries slot.
@@ -264,7 +231,7 @@ func collect(d *StreamDecoder) (*Trace, error) {
 	}
 	for d.next < d.declared {
 		tr.Entries = append(tr.Entries, Entry{})
-		if err := d.entry(&tr.Entries[len(tr.Entries)-1]); err != nil {
+		if err := d.Next(&tr.Entries[len(tr.Entries)-1]); err != nil {
 			return nil, err
 		}
 	}

@@ -28,9 +28,29 @@ func cloneTables(tr *Trace) *Trace {
 	return c
 }
 
+// nextAll drains a StreamDecoder over rd through Next, returning the
+// header trace and the entries in delivery order.
+func nextAll(rd io.Reader) (*Trace, []Entry, error) {
+	d, err := NewStreamDecoder(rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	var entries []Entry
+	for {
+		var e Entry
+		if err := d.Next(&e); err == io.EOF {
+			return d.Header(), entries, nil
+		} else if err != nil {
+			return nil, nil, err
+		}
+		entries = append(entries, e)
+	}
+}
+
 // TestDecodeStreamMatchesDecode: the streaming decoder delivers the
-// same entries, in order with contiguous indices, as batch decoding —
-// on both wire formats.
+// same entries, in order, as batch decoding — on both wire formats —
+// and its header trace carries the tables and declared length without
+// materializing entries.
 func TestDecodeStreamMatchesDecode(t *testing.T) {
 	seed := fuzzSeedTrace()
 	var bin, txt bytes.Buffer
@@ -41,14 +61,7 @@ func TestDecodeStreamMatchesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, enc := range map[string][]byte{"binary": bin.Bytes(), "text": txt.Bytes()} {
-		var got []Entry
-		hdr, err := DecodeStream(bytes.NewReader(enc), func(i int, e Entry) error {
-			if i != len(got) {
-				t.Fatalf("%s: entry index %d out of order (want %d)", name, i, len(got))
-			}
-			got = append(got, e)
-			return nil
-		})
+		hdr, got, err := nextAll(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -64,18 +77,6 @@ func TestDecodeStreamMatchesDecode(t *testing.T) {
 		if !reflect.DeepEqual(hdr.Tasks, seed.Tasks) {
 			t.Errorf("%s: header task table differs", name)
 		}
-	}
-
-	// A non-nil fn error stops the stream and surfaces unchanged.
-	sentinel := errors.New("stop here")
-	_, err := DecodeStream(bytes.NewReader(bin.Bytes()), func(i int, e Entry) error {
-		if i == 3 {
-			return sentinel
-		}
-		return nil
-	})
-	if err != sentinel {
-		t.Errorf("fn error = %v, want the sentinel", err)
 	}
 }
 
@@ -109,12 +110,12 @@ func TestStreamDecoderFormatAndEOF(t *testing.T) {
 			t.Errorf("%v: Len() = %d, want %d", tc.format, d.Len(), len(seed.Entries))
 		}
 		for i := 0; i < len(seed.Entries); i++ {
-			if _, err := d.Next(); err != nil {
+			if err := d.Next(&Entry{}); err != nil {
 				t.Fatalf("%v: entry %d: %v", tc.format, i, err)
 			}
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := d.Next(); err != io.EOF {
+			if err := d.Next(&Entry{}); err != io.EOF {
 				t.Fatalf("%v: after last entry Next() = %v, want io.EOF", tc.format, err)
 			}
 		}
@@ -174,14 +175,14 @@ func TestBinaryErrorsCarryOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Next(); err != nil {
+	if err := d.Next(&Entry{}); err != nil {
 		t.Fatalf("entry 0: %v", err)
 	}
-	_, err1 := d.Next()
+	err1 := d.Next(&Entry{})
 	if !errors.As(err1, &pe) || pe.Entry != 1 || pe.Offset != entry1Start {
 		t.Errorf("stream PosError = %v, want entry 1 at byte %d", err1, entry1Start)
 	}
-	if _, err2 := d.Next(); err2 != err1 {
+	if err2 := d.Next(&Entry{}); err2 != err1 {
 		t.Errorf("poisoned decoder returned %v, want the original %v", err2, err1)
 	}
 
@@ -201,10 +202,10 @@ func TestTextStreamErrorsCarryEntryAndLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Next(); err != nil {
+	if err := d.Next(&Entry{}); err != nil {
 		t.Fatalf("entry 0: %v", err)
 	}
-	_, err = d.Next()
+	err = d.Next(&Entry{})
 	var pe *PosError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PosError, got %T: %v", err, err)
@@ -240,7 +241,7 @@ func TestSniffShortInput(t *testing.T) {
 	if d.Format() != FormatText || d.Len() != 0 {
 		t.Errorf("format = %v len = %d, want text/0", d.Format(), d.Len())
 	}
-	if _, err := d.Next(); err != io.EOF {
+	if err := d.Next(&Entry{}); err != io.EOF {
 		t.Errorf("Next() = %v, want io.EOF", err)
 	}
 
@@ -272,10 +273,35 @@ func TestSniffShortInput(t *testing.T) {
 	}
 }
 
+// checkStreamAgrees requires the streaming decoder and DecodeAuto to
+// agree on data: the same trace on success, the same error otherwise.
+func checkStreamAgrees(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantErr := DecodeAuto(bytes.NewReader(data))
+	hdr, entries, err := nextAll(bytes.NewReader(data))
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("error disagreement: batch %v, stream %v", wantErr, err)
+	}
+	if err != nil {
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("different errors:\n  batch:  %v\n  stream: %v", wantErr, err)
+		}
+		return
+	}
+	got := cloneTables(hdr)
+	got.Entries = entries
+	if len(entries) == 0 {
+		got.Entries = want.Entries // nil-vs-empty: both mean no entries
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded traces differ:\n  batch:  %+v\n  stream: %+v", want, got)
+	}
+}
+
 // FuzzDecodeStream proves streaming and batch decoding agree on
-// arbitrary input: the same entries on success, the same error
-// otherwise. DecodeAuto is itself built on the stream decoder, so this
-// guards the collect wrapper and the per-entry path against drift.
+// arbitrary input. DecodeAuto is itself built on the stream decoder,
+// so this guards the collect wrapper and the per-entry Next path
+// against drift.
 func FuzzDecodeStream(f *testing.F) {
 	var bin, txt bytes.Buffer
 	if err := fuzzSeedTrace().Encode(&bin); err != nil {
@@ -290,34 +316,7 @@ func FuzzDecodeStream(f *testing.F) {
 	f.Add([]byte("CAFA-TEXT 1\n"))
 	f.Add([]byte(minimalText))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		want, wantErr := DecodeAuto(bytes.NewReader(data))
-		var entries []Entry
-		hdr, err := DecodeStream(bytes.NewReader(data), func(i int, e Entry) error {
-			if i != len(entries) {
-				t.Fatalf("entry index %d, want %d", i, len(entries))
-			}
-			entries = append(entries, e)
-			return nil
-		})
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("error disagreement: batch %v, stream %v", wantErr, err)
-		}
-		if err != nil {
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("different errors:\n  batch:  %v\n  stream: %v", wantErr, err)
-			}
-			return
-		}
-		got := cloneTables(hdr)
-		got.Entries = entries
-		if len(entries) == 0 {
-			got.Entries = want.Entries // nil-vs-empty: both mean no entries
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decoded traces differ:\n  batch:  %+v\n  stream: %+v", want, got)
-		}
-	})
+	f.Fuzz(checkStreamAgrees)
 }
 
 // TestFuzzDecodeStreamSeeds runs the agreement property on the seed
@@ -331,28 +330,6 @@ func TestFuzzDecodeStreamSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, data := range [][]byte{bin.Bytes(), txt.Bytes(), []byte("CAFA"), []byte(minimalText), nil} {
-		want, wantErr := DecodeAuto(bytes.NewReader(data))
-		var entries []Entry
-		hdr, err := DecodeStream(bytes.NewReader(data), func(i int, e Entry) error {
-			entries = append(entries, e)
-			return nil
-		})
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("error disagreement: batch %v, stream %v", wantErr, err)
-		}
-		if err != nil {
-			if err.Error() != wantErr.Error() {
-				t.Fatalf("different errors: %v vs %v", wantErr, err)
-			}
-			continue
-		}
-		got := cloneTables(hdr)
-		got.Entries = entries
-		if len(entries) == 0 {
-			got.Entries = want.Entries
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("decoded traces differ")
-		}
+		checkStreamAgrees(t, data)
 	}
 }
