@@ -137,7 +137,10 @@ func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
 
 // BuildGraph constructs the happens-before graph of a trace under the
 // event-driven causality model (or the conventional baseline when
-// opts.Conventional is set).
+// opts.Conventional is set). The conventional graph computes its
+// reachability per queried entry on demand, so its queries stay
+// total; Graph.Project batches the entries known in advance into one
+// sweep.
 func BuildGraph(tr *Trace, opts GraphOptions) (*Graph, error) { return hb.Build(tr, opts) }
 
 // Report is the result of analyzing one trace.
@@ -165,9 +168,7 @@ type AnalyzeOptions struct {
 }
 
 // Analyze runs the full offline pipeline on a trace: both causality
-// models, lock sets, and the use-free race detector. internal/analysis
-// builds the two models concurrently; results are identical to the
-// serial pipeline.
+// models, lock sets, and the use-free race detector.
 func Analyze(tr *Trace, opts AnalyzeOptions) (*Report, error) {
 	res, err := analysis.Analyze(tr, analysis.Options{Detect: opts.Detect, Naive: opts.Naive})
 	if err != nil {

@@ -5,19 +5,15 @@
 // sweeps trace bytes as they are decoded and validated — the path
 // both front ends take; Analyze sweeps a trace already in memory
 // (simulator output, the cafa façade). The shared finish step then
-// builds the event-driven and conventional causality models
-// concurrently over the scanned frontier and runs the use-free
-// detector after the join. A Pipeline additionally analyzes many
-// traces in parallel under a bounded worker pool (batch mode).
-//
-// Results are bit-identical to running the graph builds serially:
-// the Prescan is immutable, each graph owns its adjacency and closure,
-// and the detector runs after the join, so concurrency changes only
-// wall-clock time.
+// builds the event-driven causality model (a fixpoint over adaptive
+// closure rows) and the conventional one (its adjacency alone) in
+// sequence over the scanned frontier, and runs the use-free detector,
+// which projects the conventional closure onto the candidates it
+// classifies. A Pipeline additionally analyzes many traces in
+// parallel under a bounded worker pool (batch mode).
 package analysis
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -37,9 +33,9 @@ import (
 // span tree: the per-trace span (one track — batch concurrency shows
 // up as parallel tracks) with a serial ingest child (the per-entry
 // sweep: "stream.ingest" over trace bytes, "ingest" over an in-memory
-// trace), a serial prescan child (base edges and anchor index), forked
-// spans for the two concurrently-built graphs, and a serial detect
-// child after the join. Counters track batch scheduling.
+// trace), a serial prescan child (base edges and anchor index), one
+// serial child per causality model ("hb.graph", "hb.conventional"),
+// and a serial detect child. Counters track batch scheduling.
 var (
 	cTracesAnalyzed = obs.NewCounter("analysis_traces_analyzed_total")
 	cTraceErrors    = obs.NewCounter("analysis_trace_errors_total")
@@ -157,7 +153,7 @@ func New(opts Options) *Pipeline {
 
 // Analyze runs the full offline pipeline on one trace: one sweep
 // feeds every entry to the per-entry passes, then the two causality
-// models are built concurrently and the detector joins them. The
+// models are built and the detector runs over them. The
 // trace is not validated here; it is for traces already in memory.
 // Trace bytes go through AnalyzeStream, which validates as it
 // decodes.
@@ -248,34 +244,24 @@ func (a *analyzer) consume(e *trace.Entry) error {
 	return nil
 }
 
-// finish seals the scan, builds both causality models concurrently,
-// and runs the detector over the extraction.
+// finish seals the scan, builds both causality models, and runs the
+// detector over the extraction.
 func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
 	opts := a.opts
 	spScan := sp.Child("hb.prescan")
 	ps := a.scanner.Finish()
 	spScan.End()
 
-	var (
-		wg            sync.WaitGroup
-		g, conv       *hb.Graph
-		gErr, convErr error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		spG := sp.Fork("hb.graph")
-		defer spG.End()
-		g, gErr = hb.BuildFromScan(ps, hb.Options{})
-	}()
-	go func() {
-		defer wg.Done()
-		spC := sp.Fork("hb.conventional")
-		defer spC.End()
-		conv, convErr = hb.BuildFromScan(ps, hb.Options{Conventional: true})
-	}()
-	wg.Wait()
-	if err := cmp.Or(gErr, convErr); err != nil {
+	spG := sp.Child("hb.graph")
+	g, err := hb.BuildFromScan(ps, hb.Options{})
+	spG.End()
+	var conv *hb.Graph
+	if err == nil {
+		spC := sp.Child("hb.conventional")
+		conv, err = hb.BuildFromScan(ps, hb.Options{Conventional: true})
+		spC.End()
+	}
+	if err != nil {
 		cTraceErrors.Inc()
 		return nil, err
 	}

@@ -332,6 +332,10 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 		freesByVar[f.Var] = append(freesByVar[f.Var], f)
 	}
 
+	if in.Conventional != nil {
+		in.Conventional.Project(crossTaskPoints(ex.uses, freesByVar))
+	}
+
 	col := in.Collector
 	seen := make(map[SiteKey]bool)
 	for _, u := range ex.uses {
@@ -463,6 +467,31 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 	cDuplicates.Add(int64(res.Stats.Duplicates))
 	cRacesReported.Add(int64(len(res.Races)))
 	return res, nil
+}
+
+// crossTaskPoints lists the use and free entries of every cross-task
+// candidate, each once: the only entries the conventional model's
+// queries name, whether classifying a race or explaining it.
+func crossTaskPoints(uses []Use, freesByVar map[trace.VarID][]Free) []hb.Point {
+	var pts []hb.Point
+	freeSeen := make(map[int]bool)
+	for _, u := range uses {
+		useSeen := false
+		for _, f := range freesByVar[u.Var] {
+			if u.Task == f.Task {
+				continue
+			}
+			if !useSeen {
+				useSeen = true
+				pts = append(pts, hb.Point{Idx: u.ReadIdx, Task: u.Task})
+			}
+			if !freeSeen[f.Idx] {
+				freeSeen[f.Idx] = true
+				pts = append(pts, hb.Point{Idx: f.Idx, Task: f.Task})
+			}
+		}
+	}
+	return pts
 }
 
 // CountByClass tallies races per class.

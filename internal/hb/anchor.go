@@ -7,19 +7,21 @@ import (
 	"cafa/internal/trace"
 )
 
-// anchorIndex lays the closure matrix out over the only nodes where
-// reachability crosses tasks. Within a task, reachability is program
-// order; a path into another task leaves through an exit and arrives
-// at an entry:
+// anchorIndex names the only nodes where reachability crosses
+// tasks. Within a task, reachability is program order; a path into
+// another task leaves through an exit and arrives at an entry:
 //
-//   - exits (rows): task ends plus sources of cross-task base edges;
-//   - entries (columns): task begins plus targets of cross-task base
-//     edges.
+//   - exits (closure rows): task ends plus sources of cross-task base
+//     edges;
+//   - entries (closure columns): task begins plus targets of
+//     cross-task base edges.
 //
 // Every edge added after the prescan — the conventional looper order,
 // the atomicity rule and queue rules 1–4 — runs end → begin, so it is
 // exit → entry and the index never changes while the fixpoint runs.
-// One index is built per Prescan and shared by both models.
+// One index is built per Prescan and shared by both models: the
+// event-driven rows (rowSet) and the conventional projection both
+// address it.
 type anchorIndex struct {
 	exits   []int32 // row → node id, ascending
 	entries []int32 // column → node id, ascending
@@ -31,19 +33,21 @@ type anchorIndex struct {
 	// next is the node's program-order successor in its task, or -1.
 	next []int32
 
-	// colEnd maps a column to the end node of the task that begins
-	// there, or -1: the atomicity scan's column → event lookup.
-	colEnd  []int32
+	// Rule events are numbered looper by looper in begin order. evAt
+	// maps a column to the event that begins there and anteEv a column
+	// to the event whose antecedent reads it (see ruleEvent); both are
+	// -1 elsewhere.
+	evAt    []int32
+	anteEv  []int32
 	loopers []looperRule
 	queues  []queueRule
 }
 
 // looperRule is one looper's events as the atomicity scan reads them:
 // the begin columns of its events that have both a begin and an end,
-// split by whether an entry sits inside the event. For a simple event
-// j the antecedent begin(i) ≺ end(j) and the consequent end(i) ≺
-// begin(j) read the same column, col(begin(j)).
+// split by whether an entry sits inside the event.
 type looperRule struct {
+	first    int         // number of events[0]
 	events   []ruleEvent // in begin order
 	lo       int         // first word of the masks
 	simple   []uint64    // columns of simple events, words lo…
@@ -51,10 +55,15 @@ type looperRule struct {
 	hasInner bool
 }
 
-// ruleEvent is an event with both a begin and an end.
+// ruleEvent is an event with both a begin and an end. The atomicity
+// rule's antecedent begin(i) ≺ end(j) reads column ante, the last
+// entry at or before end(j); its consequent end(i) ≺ begin(j) reads
+// col. For a simple event, one with no entry inside, the two are the
+// same column.
 type ruleEvent struct {
 	begin, end int32 // node ids
 	col        int32 // column of begin
+	ante       int32 // column of the last entry at or before end
 }
 
 // queueRule is one queue's sends as the queue-rule scan reads them.
@@ -150,15 +159,6 @@ func (ps *Prescan) buildAnchorIndex() *anchorIndex {
 		}
 	}
 
-	ix.colEnd = make([]int32, len(ix.entries))
-	for c := range ix.colEnd {
-		ix.colEnd[c] = -1
-	}
-	for t, b := range ps.begins {
-		if e, ok := ps.ends[t]; ok {
-			ix.colEnd[ix.entryAt[b]] = e
-		}
-	}
 	ix.buildLooperRules(ps)
 	ix.buildQueueRules(ps)
 	return ix
@@ -181,13 +181,22 @@ func setBit(mask []uint64, lo int, c int32) {
 }
 
 func (ix *anchorIndex) buildLooperRules(ps *Prescan) {
+	ix.evAt = make([]int32, len(ix.entries))
+	ix.anteEv = make([]int32, len(ix.entries))
+	for c := range ix.evAt {
+		ix.evAt[c], ix.anteEv[c] = -1, -1
+	}
+	n := 0
 	for _, lo := range sortedKeys(ps.looperEvents) {
-		var lr looperRule
+		lr := looperRule{first: n}
 		for _, ev := range ps.looperEvents[lo] {
 			b, ok1 := ps.begins[ev]
 			e, ok2 := ps.ends[ev]
 			if ok1 && ok2 {
-				lr.events = append(lr.events, ruleEvent{begin: b, end: e, col: ix.entryAt[b]})
+				re := ruleEvent{begin: b, end: e, col: ix.entryAt[b], ante: ix.entryAt[e]}
+				ix.evAt[re.col], ix.anteEv[re.ante] = int32(n), int32(n)
+				lr.events = append(lr.events, re)
+				n++
 			}
 		}
 		if len(lr.events) == 0 {
@@ -198,7 +207,7 @@ func (ix *anchorIndex) buildLooperRules(ps *Prescan) {
 		lr.simple = make([]uint64, words)
 		lr.inner = make([]uint64, words)
 		for _, ev := range lr.events {
-			if ix.entryAt[ev.end] == ev.col {
+			if ev.ante == ev.col {
 				setBit(lr.simple, lr.lo, ev.col)
 			} else {
 				setBit(lr.inner, lr.lo, ev.col)

@@ -2,6 +2,7 @@ package hb
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"cafa/internal/trace"
@@ -28,10 +29,10 @@ func (g *Graph) Explain(i, j int) []int {
 	// BFS over reduced nodes, enqueuing only nodes that reach dst.
 	// Every node on a src→dst path reaches dst, so the pruned search
 	// visits those nodes in the same order and returns the same path.
-	pp := g.prevScratch()
-	defer g.prevPool.Put(pp)
-	prev := *pp
-	queue := []int32{src}
+	sc := g.bfsScratch()
+	defer g.bfsPool.Put(sc)
+	prev := sc.prev
+	queue := append(sc.queue[:0], src)
 	prev[src] = -1
 	for h := 0; h < len(queue) && prev[dst] == -2; h++ {
 		u := queue[h]
@@ -42,44 +43,51 @@ func (g *Graph) Explain(i, j int) []int {
 			}
 		}
 	}
-	found := prev[dst] != -2
-	var rev []int
-	if found {
+	var path []int
+	if prev[dst] != -2 {
+		// The path is i, the nodes src … dst, then j, with i and j
+		// left out where they are the anchors themselves.
+		n := 0
 		for v := dst; v >= 0; v = prev[v] {
-			rev = append(rev, g.nodes[v].seq)
+			n++
+		}
+		lead := 0
+		if g.nodes[src].seq != i {
+			lead = 1
+		}
+		path = make([]int, lead+n, lead+n+1)
+		path[0] = i
+		for v, k := dst, lead+n-1; v >= 0; v, k = prev[v], k-1 {
+			path[k] = g.nodes[v].seq
+		}
+		if g.nodes[dst].seq != j {
+			path = append(path, j)
 		}
 	}
 	// Only queued nodes were touched: reset them for the next call.
 	for _, v := range queue {
 		prev[v] = -2
 	}
-	if !found {
-		return nil
-	}
-	path := make([]int, 0, len(rev)+2)
-	if rev[len(rev)-1] != i {
-		path = append(path, i)
-	}
-	for k := len(rev) - 1; k >= 0; k-- {
-		path = append(path, rev[k])
-	}
-	if path[len(path)-1] != j {
-		path = append(path, j)
-	}
+	sc.queue = queue
 	return path
 }
 
-// prevScratch returns a BFS predecessor array with every entry -2
-// (unvisited), from the pool when one is free.
-func (g *Graph) prevScratch() *[]int32 {
-	if p, ok := g.prevPool.Get().(*[]int32); ok {
-		return p
+// bfsBuf is Explain's per-call scratch: a predecessor array with every
+// entry -2 (unvisited) and a queue.
+type bfsBuf struct {
+	prev, queue []int32
+}
+
+// bfsScratch returns scratch from the pool when one is free.
+func (g *Graph) bfsScratch() *bfsBuf {
+	if sc, ok := g.bfsPool.Get().(*bfsBuf); ok {
+		return sc
 	}
-	prev := make([]int32, len(g.nodes))
-	for k := range prev {
-		prev[k] = -2
+	sc := &bfsBuf{prev: make([]int32, len(g.nodes))}
+	for k := range sc.prev {
+		sc.prev[k] = -2
 	}
-	return &prev
+	return sc
 }
 
 // CommonAncestor returns the trace index of the nearest common causal
@@ -92,28 +100,18 @@ func (g *Graph) prevScratch() *[]int32 {
 func (g *Graph) CommonAncestor(i, j int) int {
 	// Happens-before is consistent with trace order, so an ancestor of
 	// both entries must precede the earlier one. nodes are appended in
-	// trace order: binary-search to the last node before min(i,j) and
-	// scan backwards from there, visiting candidates latest-first.
+	// trace order: binary-search to the last node before min(i,j), then
+	// find the latest candidate before it, through the column → rows
+	// index when there is one, else scanning backwards.
 	//
-	// A candidate reduced node n is its own task's anchor, so
-	// Ordered(n.seq, i) reduces to program order within i's task or a
-	// single closure-bit test against i's backward anchor — resolved
-	// once here instead of re-deriving anchors per candidate.
+	// A candidate reduced node n is its own task's anchor and precedes
+	// min(i, j) in trace order, so n ≺ i holds by program order within
+	// i's task and otherwise is one closure test of n's exit row
+	// against the column of i's backward anchor, resolved once here.
 	ti := g.tr.Entries[i].Task
 	tj := g.tr.Entries[j].Task
-	vi := g.anchorBefore(ti, i)
-	vj := g.anchorBefore(tj, j)
-	before := func(n int32, t trace.TaskID, idx int, v int32) bool {
-		nd := &g.nodes[n]
-		if nd.task == t {
-			return nd.seq < idx
-		}
-		return v >= 0 && g.reachable(n, v)
-	}
-	lim := i
-	if j < lim {
-		lim = j
-	}
+	ci, cj := g.columnOf(g.anchorBefore(ti, i)), g.columnOf(g.anchorBefore(tj, j))
+	lim := min(i, j)
 	lo, hi := 0, len(g.nodes)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -123,12 +121,101 @@ func (g *Graph) CommonAncestor(i, j int) int {
 			hi = mid
 		}
 	}
+	if off, rows := g.columnRows(); off != nil {
+		rowsOf := func(c int32) []int32 {
+			if c < 0 {
+				return nil
+			}
+			return rows[off[c]:off[c+1]]
+		}
+		return g.ancestorByRows(ti, tj, rowsOf(ci), rowsOf(cj), int32(lo))
+	}
 	for n := int32(lo - 1); n >= 0; n-- {
-		if before(n, ti, i, vi) && before(n, tj, j, vj) {
+		t, r := g.nodes[n].task, g.ix.exitAt[n]
+		if (t == ti || g.rowHas(r, ci)) && (t == tj || g.rowHas(r, cj)) {
 			return g.nodes[n].seq
 		}
 	}
 	return -1
+}
+
+// ancestorByRows is CommonAncestor over the rows that reach i's column
+// (a) and j's column (b), ascending, for nodes before node lo. Within
+// one task, a node's exit row holds every column a later node's does,
+// so the nodes of a task that qualify are those up to its last exit
+// whose row does. A qualifying row's exit is itself the candidate when
+// it precedes lo, else the task's last node before lo is. Walking the
+// rows down from the latest, the first candidate no later exit can
+// beat is the answer.
+func (g *Graph) ancestorByRows(ti, tj trace.TaskID, a, b []int32, lo int32) int {
+	best := int32(-1)
+	if ti == tj {
+		best = g.lastNodeBefore(ti, lo)
+	}
+	for ka, kb := len(a)-1, len(b)-1; ka >= 0 || kb >= 0; {
+		var r int32
+		switch {
+		case kb < 0 || ka >= 0 && a[ka] > b[kb]:
+			r = a[ka]
+		default:
+			r = b[kb]
+		}
+		inA, inB := ka >= 0 && a[ka] == r, kb >= 0 && b[kb] == r
+		if inA {
+			ka--
+		}
+		if inB {
+			kb--
+		}
+		x := g.ix.exits[r]
+		if x <= best {
+			break
+		}
+		if t := g.nodes[x].task; (t == ti || inA) && (t == tj || inB) {
+			if x >= lo {
+				x = g.lastNodeBefore(t, lo)
+			}
+			best = max(best, x)
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	return g.nodes[best].seq
+}
+
+// lastNodeBefore returns task t's last node before node lo, or -1.
+func (g *Graph) lastNodeBefore(t trace.TaskID, lo int32) int32 {
+	ns := g.taskNodes[t]
+	k := sort.Search(len(ns), func(k int) bool { return ns[k] >= lo })
+	if k == 0 {
+		return -1
+	}
+	return ns[k-1]
+}
+
+// columnRows returns the event-driven closure by column — column c's
+// rows, ascending, are rows[off[c]:off[c+1]] — built on first use. It
+// is nil for the conventional model, whose rows are known per
+// projected column only, and for a closure whose index would outgrow
+// its row headers, where CommonAncestor's scan finds an ancestor
+// within a few nodes anyway.
+func (g *Graph) columnRows() (off, rows []int32) {
+	if g.reach == nil {
+		return nil, nil
+	}
+	g.byColOnce.Do(func() {
+		g.byColOff, g.byCol = g.reach.transpose(len(g.ix.entries), 4*len(g.ix.exits))
+	})
+	return g.byColOff, g.byCol
+}
+
+// columnOf returns node v's entry column, or -1 for v = -1.
+func (g *Graph) columnOf(v int32) int32 {
+	if v < 0 {
+		return -1
+	}
+	return g.ix.entryAt[v]
 }
 
 // FormatPath renders an Explain result as a readable derivation.

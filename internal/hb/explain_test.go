@@ -148,8 +148,8 @@ func TestCommonAncestorUnrelated(t *testing.T) {
 	}
 }
 
-// TestExplainConcurrent: Explain's pooled predecessor arrays are safe
-// to share across goroutines, and reuse leaves no stale state behind.
+// TestExplainConcurrent: Explain's pooled scratch is safe to share
+// across goroutines, and reuse leaves no stale state behind.
 func TestExplainConcurrent(t *testing.T) {
 	tr, _ := fuzzTrace(fuzzSeeds()[9])
 	g, err := Build(tr, Options{})
@@ -159,7 +159,8 @@ func TestExplainConcurrent(t *testing.T) {
 	n := len(tr.Entries)
 	want := make([][]int, n)
 	for i := range want {
-		want[i] = explainUnpruned(g, i, (i*7+n/2)%n)
+		j := (i*7 + n/2) % n
+		want[i] = explainUnpruned(g, i, j, g.Ordered(i, j))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -1,6 +1,7 @@
 package hb
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -35,13 +36,18 @@ type fuzzEvent struct {
 	ext bool
 }
 
-// fuzzFeatures records which shapes a generated trace contains.
+// fuzzFeatures records which shapes a generated trace contains. The
+// last three are shapes of the event-driven closure's rows, which
+// rowShapes fills in from a build.
 type fuzzFeatures struct {
 	innerEntry    bool // join/wait/rpc-ret/perform/recv inside an event
 	sendAtFront   bool
 	multiSend     bool // two sends to one queue from one task
 	unendedTask   bool
 	externalEvent bool
+	sparseRows    bool // rows reach columns, and every one is a list
+	denseRows     bool // rows reach columns, and every one is a window
+	latePromotion bool // a row listed after round 0 is a window at the end
 }
 
 func (f *fuzzGen) byte() int {
@@ -204,7 +210,9 @@ func fuzzTrace(data []byte) (*trace.Trace, fuzzFeatures) {
 	return b.tr, f.features
 }
 
-// fuzzSeeds is the seed corpus: fixed pseudo-random byte strings.
+// fuzzSeeds is the seed corpus: fixed pseudo-random byte strings, then
+// three written to shape the closure's rows (see fuzzTrace for the
+// byte layout of each action).
 func fuzzSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(1))
 	var seeds [][]byte
@@ -213,7 +221,53 @@ func fuzzSeeds() [][]byte {
 		rng.Read(s)
 		seeds = append(seeds, s)
 	}
-	return seeds
+	return append(seeds,
+		// All sparse: main forks a thread, which begins. The fork's row
+		// holds the one begin.
+		[]byte{0, 0, 0, 1, 0, 0},
+		// All dense: main registers a listener, notifies a monitor and
+		// forks a thread, which begins, performs and waits. Every exit
+		// in main reaches the thread's three entries, past the list
+		// limit of a one-word window.
+		[]byte{9, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 9, 0, 2, 0, 1, 8, 0, 2, 0, 1},
+		// Promoted mid-fixpoint: main sends four events to one looper,
+		// which runs them in order. Round 0 leaves the first event's end
+		// row empty; queue rule 1 then orders it before the other three.
+		[]byte{4, 0, 0, 0, 1, 4, 0, 0, 0, 1, 4, 0, 0, 0, 1, 4, 0, 0, 0, 1,
+			6, 0, 0, 7, 0, 6, 0, 0, 7, 0, 6, 0, 0, 7, 0, 6, 0, 0, 7, 0},
+	)
+}
+
+// rowShapes runs the event-driven fixpoint over ps round by round and
+// reports the shapes of its rows: whether any reaches a column, whether
+// every such row is a list or every one a window, and whether a row
+// that was a list after round 0 ends as a window.
+func rowShapes(t testing.TB, ps *Prescan) (sparse, dense, late bool) {
+	t.Helper()
+	g := newGraph(ps, Options{})
+	g.reach = newRowSet(g.ix)
+	g.closure()
+	g.pending = g.pending[:0]
+	listed := make([]bool, len(g.ix.exits))
+	for r := range listed {
+		_, listed[r] = g.reach.list(r)
+	}
+	for g.applyDerivedRules() {
+		g.incrementalClosure()
+	}
+	sparse, dense = true, true
+	nonEmpty := false
+	for r := range listed {
+		l, isList := g.reach.list(r)
+		if isList && len(l) == 0 {
+			continue
+		}
+		nonEmpty = true
+		sparse = sparse && isList
+		dense = dense && !isList
+		late = late || listed[r] && !isList
+	}
+	return sparse && nonEmpty, dense && nonEmpty, late
 }
 
 // FuzzBuildMatchesReference builds random valid traces with Graph and
@@ -237,10 +291,81 @@ func FuzzBuildMatchesReference(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, opts := range []Options{{}, {Conventional: true}} {
-			g := assertMatchesReference(t, ps, opts)
-			assertExplainMatches(t, g, data)
+			g, ref := assertMatchesReference(t, ps, opts)
+			assertExplainMatches(t, g, ref, data)
+			assertAncestorMatches(t, g, ref, data)
 		}
 	})
+}
+
+// FuzzConventionalProjection queries the conventional model on random
+// entry pairs in random order, after a random batch hint or none, and
+// requires Ordered, Concurrent and Explain to agree with the node-level
+// reference's full closure.
+func FuzzConventionalProjection(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			return
+		}
+		tr, _ := fuzzTrace(data)
+		ps, err := Scan(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Conventional: true}
+		g, err := BuildFromScan(ps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := buildRef(ps, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		n := tr.Len()
+		if rng.Intn(2) == 0 {
+			hint := make([]Point, rng.Intn(n+1))
+			for k := range hint {
+				i := rng.Intn(n)
+				hint[k] = Point{Idx: i, Task: tr.Entries[i].Task}
+			}
+			g.Project(hint)
+		}
+		for q := 0; q < 64; q++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			ij, ji := refOrdered(g, ref, i, j), refOrdered(g, ref, j, i)
+			if got := g.Ordered(i, j); got != ij {
+				t.Fatalf("Ordered(%d, %d) = %v, reference %v", i, j, got, ij)
+			}
+			want := i != j && tr.Entries[i].Task != tr.Entries[j].Task && !ij && !ji
+			if got := g.Concurrent(i, j); got != want {
+				t.Fatalf("Concurrent(%d, %d) = %v, reference %v", i, j, got, want)
+			}
+			if got, want := g.Explain(i, j), explainUnpruned(g, i, j, ij); !slices.Equal(got, want) {
+				t.Fatalf("Explain(%d, %d) = %v, reference %v", i, j, got, want)
+			}
+		}
+	})
+}
+
+// refOrdered is Graph.Ordered answered from the reference closure.
+func refOrdered(g *Graph, ref *refGraph, i, j int) bool {
+	ti, tj := g.tr.Entries[i].Task, g.tr.Entries[j].Task
+	switch {
+	case i == j:
+		return false
+	case ti == tj:
+		return i < j
+	case i > j:
+		return false
+	}
+	u, v := g.anchorAfter(ti, i), g.anchorBefore(tj, j)
+	return u >= 0 && v >= 0 && ref.reachable(u, v)
 }
 
 // TestFuzzSeedsCover: the seed corpus exercises every shape the rule
@@ -248,35 +373,63 @@ func FuzzBuildMatchesReference(f *testing.F) {
 func TestFuzzSeedsCover(t *testing.T) {
 	var all fuzzFeatures
 	for _, s := range fuzzSeeds() {
-		_, ft := fuzzTrace(s)
+		tr, ft := fuzzTrace(s)
+		ps, err := Scan(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft.sparseRows, ft.denseRows, ft.latePromotion = rowShapes(t, ps)
 		all.innerEntry = all.innerEntry || ft.innerEntry
 		all.sendAtFront = all.sendAtFront || ft.sendAtFront
 		all.multiSend = all.multiSend || ft.multiSend
 		all.unendedTask = all.unendedTask || ft.unendedTask
 		all.externalEvent = all.externalEvent || ft.externalEvent
+		all.sparseRows = all.sparseRows || ft.sparseRows
+		all.denseRows = all.denseRows || ft.denseRows
+		all.latePromotion = all.latePromotion || ft.latePromotion
 	}
-	if all != (fuzzFeatures{true, true, true, true, true}) {
+	if all != (fuzzFeatures{true, true, true, true, true, true, true, true}) {
 		t.Fatalf("seed corpus misses a shape: %+v", all)
 	}
 }
 
 // assertExplainMatches compares Explain with an unpruned BFS on a
 // sample of entry pairs drawn from data.
-func assertExplainMatches(t *testing.T, g *Graph, data []byte) {
+func assertExplainMatches(t *testing.T, g *Graph, ref *refGraph, data []byte) {
 	t.Helper()
 	n := len(g.tr.Entries)
 	for k := 0; k+1 < len(data) && k < 64; k += 2 {
 		i, j := int(data[k])*n/256, int(data[k+1])*n/256
-		if got, want := g.Explain(i, j), explainUnpruned(g, i, j); !slices.Equal(got, want) {
+		if got, want := g.Explain(i, j), explainUnpruned(g, i, j, refOrdered(g, ref, i, j)); !slices.Equal(got, want) {
 			t.Fatalf("Explain(%d, %d) = %v, unpruned search gives %v", i, j, got, want)
 		}
 	}
 }
 
+// assertAncestorMatches compares CommonAncestor with a scan of every
+// node against the reference closure, on entry pairs drawn from data.
+func assertAncestorMatches(t *testing.T, g *Graph, ref *refGraph, data []byte) {
+	t.Helper()
+	n := len(g.tr.Entries)
+	for k := 0; k+1 < len(data) && k < 64; k += 2 {
+		i, j := int(data[k])*n/256, int(data[k+1])*n/256
+		want := -1
+		for v := len(g.nodes) - 1; v >= 0 && want < 0; v-- {
+			if s := g.nodes[v].seq; s < min(i, j) && refOrdered(g, ref, s, i) && refOrdered(g, ref, s, j) {
+				want = s
+			}
+		}
+		if got := g.CommonAncestor(i, j); got != want {
+			t.Fatalf("CommonAncestor(%d, %d) = %d, reference %d", i, j, got, want)
+		}
+	}
+}
+
 // explainUnpruned is Explain's breadth-first search without the
-// reaches-dst pruning or the pooled predecessor array.
-func explainUnpruned(g *Graph, i, j int) []int {
-	if !g.Ordered(i, j) {
+// reaches-dst pruning or the pooled scratch, for a pair the reference
+// says is ordered or not.
+func explainUnpruned(g *Graph, i, j int, ordered bool) []int {
+	if !ordered {
 		return nil
 	}
 	ei, ej := &g.tr.Entries[i], &g.tr.Entries[j]

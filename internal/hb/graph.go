@@ -16,11 +16,12 @@
 //   - event queue rules 1–4 over ordered sends to the same queue.
 //
 // The last two rule groups depend on already-derived reachability, so
-// Build iterates rule application and transitive closure to a
-// fixpoint. The closure is computed in full once; subsequent rounds
-// propagate only the reachability contributed by edges added since the
-// previous round (closure over a DAG is monotone in its edge set, so
-// the incremental result is bit-identical to a recompute).
+// the event-driven model iterates rule application and transitive
+// closure to a fixpoint. The closure is computed in full once;
+// subsequent rounds propagate only the reachability contributed by
+// edges added since the previous round (closure over a DAG is monotone
+// in its edge set, so the incremental result is bit-identical to a
+// recompute).
 //
 // Because every rule only ever concludes orderings that actually held
 // in the traced execution, the happens-before relation is consistent
@@ -29,16 +30,26 @@
 // cross-edge endpoints); arbitrary operations resolve through their
 // nearest reduced anchors.
 //
-// The closure matrix keeps only the rows and columns where paths cross
-// tasks (see anchorIndex): one row per exit (task end or source of a
-// cross-task base edge) and one column per entry (task begin or target
-// of a cross-task base edge), about a quarter of the n² node matrix on
-// the app models. Within a task, reachability is program order; across
-// tasks, u reaches v iff the row of u's first exit at or after u has
-// the column of v's last entry at or before v. Every edge the
+// The closure keeps only rows and columns where paths cross tasks (see
+// anchorIndex): one row per exit (task end or source of a cross-task
+// base edge) and one column per entry (task begin or target of a
+// cross-task base edge). Within a task, reachability is program order;
+// across tasks, u reaches v iff the row of u's first exit at or after
+// u has the column of v's last entry at or before v. Every edge the
 // fixpoint adds runs end → begin, so the layout is fixed by the
-// prescan. The atomicity and queue rules scan closure rows a word at
-// a time and add edges in the order the per-pair loops would.
+// prescan. Each row is an adaptive container (rowSet): a short sorted
+// column list, as on the app models, where events on one looper are
+// mostly unordered, or a bit window once the row is dense, as on the
+// queue-heavy synthetic shapes. The atomicity and queue rules walk a
+// list row by its columns and a window row a word at a time, and add
+// edges in the order the per-pair loops would.
+//
+// The conventional model runs no fixpoint: its looper chain already
+// orders every pair of one looper's events in trace order, so the
+// atomicity and queue rules, which only conclude orders between events
+// of one looper, never add an edge to it. It keeps no full closure
+// either. Its reachability is projected onto the columns queries name
+// (see projection), which the detector announces in one batch.
 //
 // The single trace scan (node collection plus model-independent base
 // edges) is factored into Scan/Prescan so the event-driven and
@@ -74,7 +85,9 @@ type Options struct {
 	// Conventional builds the thread-based baseline model of §6.3
 	// instead: a total order over all events of each looper thread
 	// (what a conventional race detector assumes). Lock edges are not
-	// added in either mode, matching the paper's comparator.
+	// added in either mode, matching the paper's comparator. The build
+	// is the adjacency alone; reachability is computed per queried
+	// column, in batches announced through Graph.Project.
 	Conventional bool
 	// MaxRounds bounds fixpoint iteration (safety; 0 = default 64).
 	MaxRounds int
@@ -101,24 +114,31 @@ type Graph struct {
 	// taskNodes holds node ids per task, ascending by seq.
 	taskNodes map[trace.TaskID][]int32
 	adj       [][]int32
-	// ix is the Prescan's exit×entry layout; reach holds one row per
-	// exit and one column per entry.
+	// ix is the Prescan's exit and entry index. The event-driven model
+	// keeps its closure in reach, one row per exit; the conventional
+	// model keeps proj, its closure projected onto queried columns.
 	ix    *anchorIndex
-	reach *bitmat
+	reach *rowSet
+	proj  *projection
 
 	begins map[trace.TaskID]int32 // node id of begin(t)
 	ends   map[trace.TaskID]int32 // node id of end(t)
 
 	// pending are edges added since the last closure; the next
 	// (incremental) closure round consumes them. changed is that
-	// round's per-row dirty scratch and hits the queue scan's per-send
-	// scratch, both reused across rounds.
+	// round's per-row dirty scratch, hits the queue scan's per-send
+	// scratch and fired the atomicity scan's, all reused across rounds.
 	pending []edge
 	changed []bool
 	hits    []uint64
+	fired   []int32
 
-	// prevPool recycles Explain's BFS predecessor arrays.
-	prevPool sync.Pool
+	// bfsPool recycles Explain's BFS scratch; byCol is
+	// CommonAncestor's column → rows index (see columnRows).
+	bfsPool   sync.Pool
+	byColOnce sync.Once
+	byColOff  []int32
+	byCol     []int32
 
 	rounds    int
 	baseEdges int
@@ -136,8 +156,37 @@ func Build(tr *trace.Trace, opts Options) (*Graph, error) {
 
 // BuildFromScan constructs a graph over a shared Prescan. Multiple
 // calls over one Prescan (e.g. the event-driven and conventional
-// models, built concurrently) are safe: the Prescan is read-only.
+// models) are safe: the Prescan is read-only.
 func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
+	g := newGraph(ps, opts)
+	if opts.Conventional {
+		// Conventional baseline: total event order per looper. The
+		// rules would add nothing to it (see the package comment).
+		for _, evs := range ps.looperEvents {
+			for i := 1; i < len(evs); i++ {
+				en, ok1 := g.ends[evs[i-1]]
+				b, ok2 := g.begins[evs[i]]
+				if ok1 && ok2 && g.addEdge(en, b) {
+					g.baseEdges++
+				}
+			}
+		}
+		g.pending = nil
+		g.rounds = 1
+		g.proj = new(projection)
+	} else if err := g.fixpoint(); err != nil {
+		return nil, err
+	}
+	cBuilds.Inc()
+	cBaseEdges.Add(int64(g.baseEdges))
+	cRuleEdges.Add(int64(g.ruleEdges))
+	cFixpointRounds.Add(int64(g.rounds))
+	hClosureRoundsPer.Observe(int64(g.rounds))
+	return g, nil
+}
+
+// newGraph returns a graph over ps holding its base edges.
+func newGraph(ps *Prescan, opts Options) *Graph {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 64
 	}
@@ -155,22 +204,16 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 		g.adj[u] = ps.baseSuccOf(u)
 	}
 	g.baseEdges = len(ps.baseSucc)
-	// Conventional baseline: total event order per looper.
-	if opts.Conventional {
-		for _, evs := range ps.looperEvents {
-			for i := 1; i < len(evs); i++ {
-				en, ok1 := g.ends[evs[i-1]]
-				b, ok2 := g.begins[evs[i]]
-				if ok1 && ok2 && g.addEdge(en, b) {
-					g.baseEdges++
-				}
-			}
-		}
-	}
-	g.reach = newBitmat(len(g.ix.exits), len(g.ix.entries))
+	return g
+}
+
+// fixpoint alternates closure and rule application until no rule
+// adds an edge.
+func (g *Graph) fixpoint() error {
+	g.reach = newRowSet(g.ix)
 	for round := 0; ; round++ {
-		if round >= opts.MaxRounds {
-			return nil, fmt.Errorf("hb: fixpoint did not converge in %d rounds", opts.MaxRounds)
+		if round >= g.opts.MaxRounds {
+			return fmt.Errorf("hb: fixpoint did not converge in %d rounds", g.opts.MaxRounds)
 		}
 		g.rounds = round + 1
 		if round == 0 {
@@ -180,15 +223,9 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 			g.incrementalClosure()
 		}
 		if !g.applyDerivedRules() {
-			break
+			return nil
 		}
 	}
-	cBuilds.Inc()
-	cBaseEdges.Add(int64(g.baseEdges))
-	cRuleEdges.Add(int64(g.ruleEdges))
-	cFixpointRounds.Add(int64(g.rounds))
-	hClosureRoundsPer.Observe(int64(g.rounds))
-	return g, nil
 }
 
 // isReducedOp reports whether an operation is a cross-edge endpoint.
@@ -229,7 +266,7 @@ func (g *Graph) closure() {
 	for r := len(ix.exits) - 1; r >= 0; r-- {
 		x := ix.exits[r]
 		if ix.isEntry(x) {
-			g.reach.set(r, int(ix.entryAt[x]))
+			g.reach.add(r, int(ix.entryAt[x]))
 		}
 		for _, w := range g.adj[x] {
 			g.orReach(r, w)
@@ -246,17 +283,17 @@ func (g *Graph) orReach(r int, w int32) bool {
 	ix := g.ix
 	ch := false
 	for t := w; t >= 0; t = ix.next[t] {
-		if ix.isEntry(t) && g.reach.setChanged(r, int(ix.entryAt[t])) {
+		if ix.isEntry(t) && g.reach.add(r, int(ix.entryAt[t])) {
 			ch = true
 		}
 		if ix.isExit(t) {
-			return g.reach.orIntoChanged(r, int(ix.exitAt[t])) || ch
+			return g.reach.or(r, int(ix.exitAt[t])) || ch
 		}
 	}
 	return ch
 }
 
-// incrementalClosure folds the pending edges into the closure matrix
+// incrementalClosure folds the pending edges into the closure
 // without recomputing it. For a new edge u → v only u and exits that
 // reach u can gain reachability, so one reverse sweep from the highest
 // pending source suffices: a row is re-ORed only when it has a pending
@@ -290,7 +327,7 @@ func (g *Graph) incrementalClosure() {
 			}
 		}
 		for _, w := range g.adj[x] {
-			if s := int(ix.exitAt[w]); s >= 0 && s <= maxRow && changed[s] && g.reach.orIntoChanged(r, s) {
+			if s := int(ix.exitAt[w]); s >= 0 && s <= maxRow && changed[s] && g.reach.or(r, s) {
 				ch = true
 			}
 		}
@@ -306,46 +343,97 @@ func (g *Graph) reachable(u, v int32) bool {
 	if g.nodes[u].task == g.nodes[v].task {
 		return u <= v
 	}
-	r, c := g.ix.exitAt[u], g.ix.entryAt[v]
-	return r >= 0 && c >= 0 && g.reach.get(int(r), int(c))
+	return g.rowHas(g.ix.exitAt[u], g.ix.entryAt[v])
+}
+
+// rowHas reports whether exit row r reaches entry column c; either
+// may be -1 (none), which reaches nothing.
+func (g *Graph) rowHas(r, c int32) bool {
+	if r < 0 || c < 0 {
+		return false
+	}
+	if g.reach != nil {
+		return g.reach.has(int(r), int(c))
+	}
+	return g.projected(r, c)
 }
 
 // applyDerivedRules applies the atomicity rule and the four event
-// queue rules, returning whether any new edge was added. Both scan
-// closure rows a word at a time instead of testing every pair, and
-// visit the pairs that fire in the order the pair loops would (per
-// looper by ascending i then j, per queue by ascending a then b), so
-// adjacency lists and Stats do not depend on the scan. Conditions
-// read the closure as of the round's start; an edge added earlier in
-// the round does not change a later test.
+// queue rules, returning whether any new edge was added. Both read a
+// list row by its columns and a window row a word at a time instead of
+// testing every pair, and visit the pairs that fire in the order the
+// pair loops would (per looper by ascending i then j, per queue by
+// ascending a then b), so adjacency lists and Stats do not depend on
+// the scan. Conditions read the closure as of the round's start; an
+// edge added earlier in the round does not change a later test.
 func (g *Graph) applyDerivedRules() bool {
 	added := false
 	ix := g.ix
 	// Atomicity rule: begin(i) ≺ end(j) ⇒ end(i) ≺ begin(j) for events
-	// i < j of one looper. For a simple j both sides read column
-	// col(begin(j)), so the pairs that fire for i are (antecedent row
-	// &^ consequent row) & simple, from i's column on. Events with an
-	// internal entry keep a per-pair antecedent test.
+	// i < j of one looper. The antecedent reads the row of begin(i) at
+	// ante(j), the consequent the row of end(i) at col(j).
 	for li := range ix.loopers {
 		lr := &ix.loopers[li]
-		for _, ev := range lr.events {
-			ra, rc := ix.exitAt[ev.begin], ix.exitAt[ev.end]
+		for i, ev := range lr.events {
+			ra, rc := int(ix.exitAt[ev.begin]), int(ix.exitAt[ev.end])
 			if ra < 0 || (ra == rc && !lr.hasInner) {
 				continue
 			}
-			ante, cons := g.reach.row(int(ra)), g.reach.row(int(rc))
+			if ante, ok := g.reach.list(ra); ok {
+				// A list row: map each of its columns to the event whose
+				// antecedent it is. Inner events read ante(j) > col(j),
+				// so their hits are sorted back into col order.
+				fired := g.fired[:0]
+				k, _ := slices.BinarySearch(ante, ev.col+1)
+				for _, d := range ante[k:] {
+					j := int(ix.anteEv[d]) - lr.first
+					if j <= i || j >= len(lr.events) {
+						continue
+					}
+					if c := lr.events[j].col; !g.reach.has(rc, int(c)) {
+						fired = append(fired, c)
+					}
+				}
+				if lr.hasInner {
+					slices.Sort(fired)
+				}
+				for _, c := range fired {
+					g.addRule(ev.end, ix.entries[c], &added)
+				}
+				g.fired = fired
+				continue
+			}
+			// A window row: for a simple j both sides read col(j), so
+			// the pairs that fire are (antecedent &^ consequent) &
+			// simple, from i's column on. Events with an internal entry
+			// keep a per-pair antecedent test.
 			start := int(ev.col) + 1
-			w0 := max(start/64, lr.lo)
-			for w := w0; w < lr.lo+len(lr.simple); w++ {
+			ante, alo := g.reach.window(ra), int(g.reach.hdr[ra].lo)
+			var cons []uint64 // nil: the consequent row is a list
+			clo := int(g.reach.hdr[rc].lo)
+			if _, ok := g.reach.list(rc); !ok {
+				cons = g.reach.window(rc)
+			}
+			for w := max(start/64, lr.lo); w < lr.lo+len(lr.simple); w++ {
+				var aw, cw uint64
+				if w >= alo {
+					aw = ante[w-alo]
+				}
+				switch {
+				case cons == nil:
+					cw = g.reach.word(rc, w)
+				case w >= clo:
+					cw = cons[w-clo]
+				}
 				inner := lr.inner[w-lr.lo]
-				m := lr.simple[w-lr.lo]&(ante[w]&^cons[w]) | inner&^cons[w]
+				m := lr.simple[w-lr.lo]&(aw&^cw) | inner&^cw
 				if w == start/64 {
 					m &= ^uint64(0) << (uint(start) % 64)
 				}
 				for ; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
 					c := w*64 + b
-					if inner&(1<<uint(b)) != 0 && !g.reach.get(int(ra), int(ix.entryAt[ix.colEnd[c]])) {
+					if inner&(1<<uint(b)) != 0 && !g.reach.has(ra, int(lr.events[int(ix.evAt[c])-lr.first].ante)) {
 						continue
 					}
 					g.addRule(ev.end, ix.entries[c], &added)
@@ -359,18 +447,29 @@ func (g *Graph) applyDerivedRules() bool {
 	for qi := range ix.queues {
 		qr := &ix.queues[qi]
 		hit := g.hitScratch(len(qr.sends))
+		mark := func(k int) {
+			for _, b := range qr.sendIdx[qr.at[k]:qr.at[k+1]] {
+				hit[b/64] |= 1 << (uint(b) % 64)
+			}
+		}
 		for ai := range qr.sends {
 			a := qr.sends[ai]
 			for b := qr.own[ai]; b >= 0; b = qr.own[b] {
 				hit[b/64] |= 1 << (uint(b) % 64)
 			}
-			if r := ix.exitAt[a.node]; r >= 0 && len(qr.mask) > 0 {
-				row := g.reach.row(int(r))
-				for w := max(ix.firstColFrom(ix.exits[r])/64, qr.lo); w < qr.lo+len(qr.mask); w++ {
-					for m := row[w] & qr.mask[w-qr.lo]; m != 0; m &= m - 1 {
-						k, _ := slices.BinarySearch(qr.cols, int32(w*64+bits.TrailingZeros64(m)))
-						for _, b := range qr.sendIdx[qr.at[k]:qr.at[k+1]] {
-							hit[b/64] |= 1 << (uint(b) % 64)
+			if r := int(ix.exitAt[a.node]); r >= 0 && len(qr.mask) > 0 {
+				if row, ok := g.reach.list(r); ok {
+					for _, d := range row {
+						if k, found := slices.BinarySearch(qr.cols, d); found {
+							mark(k)
+						}
+					}
+				} else {
+					row, lo := g.reach.window(r), int(g.reach.hdr[r].lo)
+					for w := max(lo, qr.lo); w < qr.lo+len(qr.mask); w++ {
+						for m := row[w-lo] & qr.mask[w-qr.lo]; m != 0; m &= m - 1 {
+							k, _ := slices.BinarySearch(qr.cols, int32(w*64+bits.TrailingZeros64(m)))
+							mark(k)
 						}
 					}
 				}
@@ -425,12 +524,14 @@ func (g *Graph) applyQueueRules(qr *queueRule, ai, bi int, added *bool) {
 }
 
 // orderNodes adds end(e1) → begin(e2) by pre-resolved node ids (-1 =
-// the task has no such node) unless already derivable.
+// the task has no such node) unless already derivable. The two events
+// differ, so the end is its own exit row and the begin its own entry
+// column in another task.
 func (g *Graph) orderNodes(en, b int32, added *bool) {
 	if en < 0 || b < 0 {
 		return
 	}
-	if g.reachable(en, b) {
+	if g.reach.has(int(g.ix.exitAt[en]), int(g.ix.entryAt[b])) {
 		return
 	}
 	g.addRule(en, b, added)
@@ -451,15 +552,25 @@ type Stats struct {
 	BaseEdges int
 	RuleEdges int
 	Rounds    int
+	// ClosureBytes is what the reachability closure holds: the
+	// event-driven model's rows, or the conventional model's projection
+	// as of the call, since queries extend it.
+	ClosureBytes int
 }
 
 // Stats returns construction statistics.
 func (g *Graph) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Entries:   g.tr.Len(),
 		Nodes:     len(g.nodes),
 		BaseEdges: g.baseEdges,
 		RuleEdges: g.ruleEdges,
 		Rounds:    g.rounds,
 	}
+	if g.proj != nil {
+		st.ClosureBytes = g.proj.bytes()
+	} else {
+		st.ClosureBytes = g.reach.bytes()
+	}
+	return st
 }

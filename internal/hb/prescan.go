@@ -52,7 +52,7 @@ type Prescan struct {
 	baseOff   []int32
 	baseSucc  []int32
 	baseEdges []edge
-	// ix is the exit×entry layout both models' closures share.
+	// ix is the exit and entry index both models' closures share.
 	ix *anchorIndex
 }
 

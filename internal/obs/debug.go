@@ -54,13 +54,19 @@ func ServeDebug(addr string, extra ...Route) (*DebugServer, error) {
 func (d *DebugServer) Addr() string { return d.ln.Addr().String() }
 
 // Close stops the listener immediately, dropping in-flight requests.
-func (d *DebugServer) Close() error { return d.srv.Close() }
+func (d *DebugServer) Close() error {
+	defer d.ln.Close() // see Shutdown
+	return d.srv.Close()
+}
 
 // Shutdown stops the listener gracefully: the port is released at
 // once (no new connections), in-flight requests get until the context
 // deadline to finish, and stragglers are then closed hard, so the
 // listener never outlives the run that opened it.
 func (d *DebugServer) Shutdown(ctx context.Context) error {
+	// Serve closes the listener only once its goroutine runs; one not
+	// yet scheduled would hold the port past the return.
+	defer d.ln.Close()
 	if err := d.srv.Shutdown(ctx); err != nil {
 		return d.srv.Close()
 	}

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -279,6 +281,29 @@ func TestDebugServer(t *testing.T) {
 			t.Error("/debug/pprof/cmdline empty")
 		}
 	})
+}
+
+// TestDebugServerReleasesPortAtOnce: Shutdown and Close free the port
+// before they return, even when the serving goroutine has not started
+// yet, as after a run shorter than its scheduling delay.
+func TestDebugServerReleasesPortAtOnce(t *testing.T) {
+	for _, stop := range []func(*DebugServer){
+		func(ds *DebugServer) { _ = ds.Shutdown(context.Background()) },
+		func(ds *DebugServer) { _ = ds.Close() },
+	} {
+		for k := 0; k < 20; k++ {
+			ds, err := ServeDebug("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop(ds)
+			ln, err := net.Listen("tcp", ds.Addr())
+			if err != nil {
+				t.Fatalf("port still held after the debug server stopped: %v", err)
+			}
+			_ = ln.Close()
+		}
+	}
 }
 
 func TestResetClearsValuesKeepsHandles(t *testing.T) {
