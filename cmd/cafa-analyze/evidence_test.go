@@ -94,6 +94,20 @@ func TestGoldenSuiteEvidence(t *testing.T) {
 		t.Errorf("evidence bundle diverges from %s (run with -update to regenerate)\ngot stats  %s\nwant stats %s",
 			golden, gotJSON, wantJSON)
 	}
+	// The decoded comparison above cannot see layout; pin WriteJSON's
+	// bytes too (indentation, key order, escaping, trailing newline).
+	wantBytes, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBytes bytes.Buffer
+	if err := got.WriteJSON(&gotBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes.Bytes(), wantBytes) {
+		t.Errorf("WriteJSON of the suite bundle (%d B) is not byte-identical to %s (%d B)",
+			gotBytes.Len(), golden, len(wantBytes))
+	}
 
 	// The acceptance bar for the bundle itself: every dynamic prune
 	// stage except static-guard carries at least one witness (the

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"cafa/internal/detect"
+	"cafa/internal/jsonindent"
 	"cafa/internal/trace"
 )
 
@@ -167,15 +168,29 @@ func SiteString(tr *trace.Trace, k detect.SiteKey) string {
 		tr.MethodName(k.FreeMethod), k.FreePC)
 }
 
-// entryRef renders one trace entry.
-func entryRef(tr *trace.Trace, idx int) EntryRef {
-	e := &tr.Entries[idx]
-	return EntryRef{Idx: idx, Entry: e.String(), Task: tr.TaskName(e.Task)}
+// entryRefs renders trace entries for one Bundle call, each entry at
+// most once: derivation paths name the same few entries over and over
+// (on a dense synthetic trace, 15,839 path steps name 65 distinct
+// entries), and Entry.String formats through fmt.
+type entryRefs struct {
+	tr   *trace.Trace
+	memo map[int]EntryRef
 }
 
-// refPath renders a derivation, capped at PathCap entries; the second
+// ref renders one trace entry.
+func (r *entryRefs) ref(idx int) EntryRef {
+	if ref, ok := r.memo[idx]; ok {
+		return ref
+	}
+	e := &r.tr.Entries[idx]
+	ref := EntryRef{Idx: idx, Entry: e.String(), Task: r.tr.TaskName(e.Task)}
+	r.memo[idx] = ref
+	return ref
+}
+
+// path renders a derivation, capped at PathCap entries; the second
 // result reports whether the path was truncated.
-func refPath(tr *trace.Trace, path []int) ([]EntryRef, bool) {
+func (r *entryRefs) path(path []int) ([]EntryRef, bool) {
 	if path == nil {
 		return nil, false
 	}
@@ -186,7 +201,7 @@ func refPath(tr *trace.Trace, path []int) ([]EntryRef, bool) {
 	}
 	out := make([]EntryRef, len(path))
 	for i, idx := range path {
-		out[i] = entryRef(tr, idx)
+		out[i] = r.ref(idx)
 	}
 	return out, truncated
 }
@@ -213,6 +228,7 @@ func (c *Collector) Bundle(file string) InputEvidence {
 		Races:   []RaceEvidence{},
 		Pruned:  []PruneRecord{},
 	}
+	refs := &entryRefs{tr: c.tr, memo: map[int]EntryRef{}}
 	for _, ev := range c.Evidence() {
 		r := ev.Race
 		re := RaceEvidence{
@@ -242,15 +258,15 @@ func (c *Collector) Bundle(file string) InputEvidence {
 			LastFreeIdx:  ev.LastFreeIdx,
 		}
 		if ev.Ancestor >= 0 {
-			ref := entryRef(c.tr, ev.Ancestor)
+			ref := refs.ref(ev.Ancestor)
 			re.Ancestor = &ref
 			var t1, t2 bool
-			re.AncestorToUse, t1 = refPath(c.tr, ev.ToUse)
-			re.AncestorToFree, t2 = refPath(c.tr, ev.ToFree)
+			re.AncestorToUse, t1 = refs.path(ev.ToUse)
+			re.AncestorToFree, t2 = refs.path(ev.ToFree)
 			re.PathsTruncated = t1 || t2
 		}
 		var tc bool
-		re.ConvPath, tc = refPath(c.tr, ev.Conv.Path)
+		re.ConvPath, tc = refs.path(ev.Conv.Path)
 		re.PathsTruncated = re.PathsTruncated || tc
 		in.Races = append(in.Races, re)
 	}
@@ -269,15 +285,15 @@ func (c *Collector) Bundle(file string) InputEvidence {
 			} else {
 				pr.Direction = DirFreeBeforeUse.String()
 			}
-			pr.Path, pr.PathTruncated = refPath(c.tr, p.Path)
+			pr.Path, pr.PathTruncated = refs.path(p.Path)
 		case detect.PruneLockset:
 			pr.CommonLocks = lockNames(p.W.CommonLocks)
 		case detect.PruneIntraAlloc:
-			ref := entryRef(c.tr, p.W.AllocIdx)
+			ref := refs.ref(p.W.AllocIdx)
 			pr.Alloc = &ref
 		case detect.PruneIfGuard:
 			pr.Guard = &GuardRef{
-				EntryRef: entryRef(c.tr, p.W.GuardIdx),
+				EntryRef: refs.ref(p.W.GuardIdx),
 				RegionLo: uint32(p.W.GuardLo),
 				RegionHi: uint32(p.W.GuardHi),
 			}
@@ -297,11 +313,10 @@ func (c *Collector) Bundle(file string) InputEvidence {
 	return in
 }
 
-// WriteJSON encodes the bundle as indented JSON.
+// WriteJSON encodes the bundle as indented JSON (two spaces, trailing
+// newline) in a single Write.
 func (b *Bundle) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
+	return jsonindent.Encode(w, b)
 }
 
 // ReadBundle decodes a JSON evidence bundle.

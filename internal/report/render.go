@@ -7,11 +7,11 @@ package report
 // is structural, not a test-only coincidence.
 
 import (
-	"encoding/json"
 	"io"
 
 	"cafa/internal/analysis"
 	"cafa/internal/detect"
+	"cafa/internal/jsonindent"
 	"cafa/internal/provenance"
 	"cafa/internal/trace"
 )
@@ -108,9 +108,7 @@ func BuildJSON(reports []*FileReport) *ReportJSON {
 // RenderJSON writes the aggregated report as indented JSON — the
 // exact bytes `cafa-analyze -json` emits.
 func RenderJSON(w io.Writer, reports []*FileReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(BuildJSON(reports))
+	return jsonindent.Encode(w, BuildJSON(reports))
 }
 
 // BuildBundle assembles the run's evidence bundle in input order.
