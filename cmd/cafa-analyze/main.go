@@ -470,8 +470,8 @@ func emitText(w io.Writer, cfg *config, reports []*report.FileReport) error {
 			st := res.Stats
 			fmt.Fprintf(w, "pipeline: uses=%d frees=%d allocs=%d candidates=%d\n",
 				st.Uses, st.Frees, st.Allocs, st.Candidates)
-			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d static-guard=%d static-order=%d duplicates=%d\n",
-				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.FilteredStaticGuard, st.FilteredStaticOrder, st.Duplicates)
+			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d static-guard=%d duplicates=%d\n",
+				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.FilteredStaticGuard, st.Duplicates)
 			gs := res.GraphStats
 			fmt.Fprintf(w, "graph: nodes=%d base-edges=%d rule-edges=%d fixpoint-rounds=%d\n",
 				gs.Nodes, gs.BaseEdges, gs.RuleEdges, gs.Rounds)
@@ -494,8 +494,8 @@ func emitText(w io.Writer, cfg *config, reports []*report.FileReport) error {
 			st := agg.stats
 			fmt.Fprintf(w, "pipeline: uses=%d frees=%d allocs=%d candidates=%d\n",
 				st.Uses, st.Frees, st.Allocs, st.Candidates)
-			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d static-guard=%d static-order=%d duplicates=%d\n",
-				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.FilteredStaticGuard, st.FilteredStaticOrder, st.Duplicates)
+			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d static-guard=%d duplicates=%d\n",
+				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.FilteredStaticGuard, st.Duplicates)
 		}
 		if cfg.naive {
 			fmt.Fprintf(w, "low-level conflicting-access races (naive baseline): %d\n", agg.naive)

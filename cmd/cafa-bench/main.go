@@ -175,21 +175,6 @@ func main() {
 		}
 		fmt.Printf("%-22s %4d reported races (extra static-guard prunes: %d)\n",
 			"static guard filter", total, staticGuarded)
-		// Static order filter: skip the dynamic HB query for candidate
-		// pairs the static event-order pass proves must-ordered under
-		// the app's recorded entry-point roots.
-		total = 0
-		orderPruned := 0
-		results, err = report.RunAll(report.RunOptions{Seed: *seed, Scale: *scale, StaticOrders: true, Workers: *jobs})
-		if err != nil {
-			fail("%v", err)
-		}
-		for _, r := range results {
-			total += r.Reported
-			orderPruned += r.DetectStats.FilteredStaticOrder
-		}
-		fmt.Printf("%-22s %4d reported races (dynamic HB queries skipped: %d)\n",
-			"static order filter", total, orderPruned)
 		fmt.Println()
 	}
 

@@ -47,7 +47,6 @@ import (
 	"cafa/internal/provenance"
 	"cafa/internal/sim"
 	"cafa/internal/static"
-	"cafa/internal/synth"
 	"cafa/internal/trace"
 )
 
@@ -446,9 +445,8 @@ func (l *appLint) pairJSON(p static.Pair) pairJSON {
 }
 
 // benchJSON is one BENCH_static.json row. The ordering fields record
-// the event-order pass: distinct pairs proved must-ordered, coverage
-// gaps without vs with the pass, and the candidate pairs still
-// dispatched to a dynamic HB query after the prune projection.
+// the event-order pass: distinct pairs proved must-ordered and
+// coverage gaps without vs with the pass.
 type benchJSON struct {
 	App              string `json:"app"`
 	Methods          int    `json:"methods"`
@@ -457,19 +455,12 @@ type benchJSON struct {
 	OrderedPairs     int    `json:"orderedPairs"`
 	GapsWithoutOrder int    `json:"gapsWithoutOrder"`
 	GapsWithOrder    int    `json:"gapsWithOrder"`
-	DynDispatch      int    `json:"dynamicDispatchPairs"`
-	// Synth rows only: the open-world control. No bytecode exists for
-	// synthetic traces, so the order pass sits at bottom and every
-	// dynamic candidate is dispatched to the HB query — the
-	// conservative-bottom behavior the closed-world caveat demands.
-	DynCandidates     int `json:"dynamicCandidates,omitempty"`
-	StaticOrderPruned int `json:"staticOrderPruned,omitempty"`
 
 	Timing static.Timing `json:"timing"`
 }
 
 func emitBench(w io.Writer, lints []*appLint) error {
-	out := make([]benchJSON, 0, len(lints)+1)
+	out := make([]benchJSON, 0, len(lints))
 	for _, l := range lints {
 		row := benchJSON{
 			App:        l.spec.Name,
@@ -480,7 +471,6 @@ func emitBench(w io.Writer, lints []*appLint) error {
 		}
 		// Distinct site pairs, and how the order pass splits them.
 		keys := make(map[string]bool)
-		dispatch := 0
 		for _, p := range l.st.Pairs {
 			id := fmt.Sprintf("%d/%d/%d/%d/%d", p.Key.Field, p.Key.UseMethod, p.Key.UsePC,
 				p.Key.FreeMethod, p.Key.FreePC)
@@ -488,25 +478,15 @@ func emitBench(w io.Writer, lints []*appLint) error {
 				continue
 			}
 			keys[id] = true
-			info, ok := l.st.Orders.Lookup(p.Key)
-			if !ok || !info.DynSound {
-				dispatch++
-			}
 			if !p.Guarded && !p.AllocSafe {
 				row.GapsWithoutOrder++
-				if !ok {
+				if _, ok := l.st.Orders.Lookup(p.Key); !ok {
 					row.GapsWithOrder++
 				}
 			}
 		}
 		row.OrderedPairs = l.st.Orders.Ordered()
-		row.DynDispatch = dispatch
 		out = append(out, row)
-	}
-	if row, err := synthBenchRow(); err == nil {
-		out = append(out, row)
-	} else {
-		return err
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -585,21 +565,4 @@ func writeHTML(path string, lints []*appLint) error {
 		return err
 	}
 	return f.Close()
-}
-
-// synthBenchRow measures the open-world control: a synthetic trace
-// with no bytecode behind it gets no static orders, so the detector
-// dispatches every candidate dynamically.
-func synthBenchRow() (benchJSON, error) {
-	tr := synth.Trace(synth.Config{Chain: 4, EventsPer: 8, FreeThreads: 4, Burst: 2, BurstEvents: 8})
-	res, err := analysis.Analyze(tr, analysis.Options{})
-	if err != nil {
-		return benchJSON{}, err
-	}
-	return benchJSON{
-		App:               "synth(open-world)",
-		DynCandidates:     res.Stats.Candidates,
-		StaticOrderPruned: res.Stats.FilteredStaticOrder,
-		DynDispatch:       res.Stats.Candidates - res.Stats.FilteredStaticOrder,
-	}, nil
 }

@@ -66,15 +66,6 @@ type Options struct {
 	// static if-guard pass proves covered by a null test. Requires
 	// Program.
 	StaticGuardPrune bool
-	// Roots is the closed-world entry-point inventory (method →
-	// injection/thread-start count) feeding the static event-order
-	// pass. Nil leaves the pass at its open-world bottom.
-	Roots map[trace.MethodID]int
-	// StaticOrderPrune skips the dynamic HB query for candidate pairs
-	// the static event-order pass proves must-ordered. Requires
-	// Program and Roots; sound only because the prune projection
-	// excludes lint-only ordering rules.
-	StaticOrderPrune bool
 	// Evidence attaches a provenance.Collector to each Detect call:
 	// Result.Evidence then carries per-race evidence records and
 	// per-filtered-candidate prune witnesses. Detection results are
@@ -90,7 +81,7 @@ type Options struct {
 
 // wantStatic reports whether the pipeline needs the static result.
 func (o *Options) wantStatic() bool {
-	return o.Program != nil && (o.Interproc || o.StaticGuardPrune || o.StaticOrderPrune)
+	return o.Program != nil && (o.Interproc || o.StaticGuardPrune)
 }
 
 // Result is the analysis of one trace.
@@ -115,9 +106,8 @@ type Result struct {
 	// Locks are the per-operation held-lock sets.
 	Locks *lockset.Sets
 	// Static is the whole-program static analysis result when the
-	// pipeline computed one (Options.Program with Interproc,
-	// StaticGuardPrune or StaticOrderPrune). Shared across traces of
-	// one Pipeline.
+	// pipeline computed one (Options.Program with Interproc or
+	// StaticGuardPrune). Shared across traces of one Pipeline.
 	Static *static.Result
 	// Evidence is the provenance collector attached to the detector
 	// run, populated when Options.Evidence is set (nil otherwise).
@@ -210,7 +200,7 @@ func (p *Pipeline) newAnalyzer(tr *trace.Trace, sp *obs.Span) *analyzer {
 		// safe.
 		spS := sp.Child("static")
 		p.staticOnce.Do(func() {
-			p.static = static.AnalyzeOpts(p.opts.Program, static.Options{Roots: p.opts.Roots})
+			p.static = static.AnalyzeOpts(p.opts.Program, static.Options{})
 		})
 		spS.End()
 		st = p.static
@@ -272,13 +262,8 @@ func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
 		Conventional: conv,
 		Locks:        ls,
 	}
-	if a.st != nil {
-		if opts.StaticGuardPrune {
-			in.StaticGuards = a.st.Guards
-		}
-		if opts.StaticOrderPrune {
-			in.StaticOrders = a.st.Orders.PruneMap()
-		}
+	if a.st != nil && opts.StaticGuardPrune {
+		in.StaticGuards = a.st.Guards
 	}
 	var col *provenance.Collector
 	if opts.Evidence {

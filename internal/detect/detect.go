@@ -22,7 +22,6 @@ var (
 	cFilteredAlloc  = obs.NewCounter("detect_filtered_intra_alloc_total")
 	cFilteredGuard  = obs.NewCounter("detect_filtered_ifguard_total")
 	cFilteredStatic = obs.NewCounter("detect_filtered_static_guard_total")
-	cFilteredSOrder = obs.NewCounter("detect_filtered_static_order_total")
 	cDuplicates     = obs.NewCounter("detect_duplicates_total")
 	cRacesReported  = obs.NewCounter("detect_races_reported_total")
 )
@@ -122,7 +121,6 @@ const (
 	PruneIfGuard
 	PruneStaticGuard
 	PruneDedup
-	PruneStaticOrder
 	numPruneStages
 )
 
@@ -143,8 +141,6 @@ func (s PruneStage) String() string {
 		return "static-guard"
 	case PruneDedup:
 		return "dedup"
-	case PruneStaticOrder:
-		return "static-order"
 	default:
 		return fmt.Sprintf("PruneStage(%d)", uint8(s))
 	}
@@ -169,30 +165,6 @@ type PruneWitness struct {
 	// Class is the classification the duplicate pair had already
 	// received (PruneDedup); the kept instance shares its SiteKey.
 	Class Class
-	// StaticPath is the static event-order derivation that proved the
-	// pair must-ordered without a dynamic HB query (PruneStaticOrder);
-	// UseBeforeFree carries its direction.
-	StaticPath []string
-}
-
-// OrderKey identifies a use/free code-site pair independent of the
-// field raced on — the granularity of the static ordering pass, which
-// reasons about sites and events, not heap values.
-type OrderKey struct {
-	UseMethod  trace.MethodID
-	UsePC      trace.PC
-	FreeMethod trace.MethodID
-	FreePC     trace.PC
-}
-
-// StaticOrder is one statically-proven must-ordering between a use
-// site and a free site (internal/static's event-order pass). Every
-// derivation rule it may rely on is mirrored by a dynamic HB rule, so
-// a pair carrying one is HB-ordered in every recorded trace of the
-// program — the soundness contract the StaticOrders prune depends on.
-type StaticOrder struct {
-	UseBeforeFree bool
-	Witness       []string
 }
 
 // Collector observes detector decisions for provenance. Detect calls
@@ -231,7 +203,6 @@ type Stats struct {
 	FilteredIfGuard     int
 	FilteredIntraAlloc  int
 	FilteredStaticGuard int // pruned by the static if-guard classification
-	FilteredStaticOrder int // pruned by the static event-order pass, no HB query
 	Duplicates          int
 }
 
@@ -249,7 +220,6 @@ func (s *Stats) Add(other Stats) {
 	s.FilteredIfGuard += other.FilteredIfGuard
 	s.FilteredIntraAlloc += other.FilteredIntraAlloc
 	s.FilteredStaticGuard += other.FilteredStaticGuard
-	s.FilteredStaticOrder += other.FilteredStaticOrder
 	s.Duplicates += other.Duplicates
 }
 
@@ -284,14 +254,6 @@ type Input struct {
 	// (e.g. when an aliased read evicts the tested pointer's last
 	// read). Plain data keeps detect independent of internal/static.
 	StaticGuards map[dataflow.Key]bool
-	// StaticOrders, when non-nil, maps use/free site pairs the static
-	// event-order pass proved must-ordered. Candidates at those sites
-	// skip the dynamic HB query entirely — a trace-free pre-filter.
-	// Sound because the pass derives orders only from rules the dynamic
-	// model also enforces (post, fork/join, rpc, program order) under a
-	// closed world of entry points; open-world sites get no entry and
-	// the map stays empty there (refine, never invent).
-	StaticOrders map[OrderKey]StaticOrder
 	// Collector, when non-nil, receives per-decision provenance
 	// callbacks (internal/provenance implements it). Nil keeps the
 	// candidate loop counter-only.
@@ -344,21 +306,6 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 				continue // program order within one task
 			}
 			res.Stats.Candidates++
-			if in.StaticOrders != nil {
-				ok := OrderKey{UseMethod: u.Method, UsePC: u.DerefPC,
-					FreeMethod: f.Method, FreePC: f.PC}
-				if so, hit := in.StaticOrders[ok]; hit {
-					res.Stats.FilteredStaticOrder++
-					if col != nil {
-						col.Pruned(u, f, PruneWitness{
-							Stage:         PruneStaticOrder,
-							UseBeforeFree: so.UseBeforeFree,
-							StaticPath:    so.Witness,
-						})
-					}
-					continue
-				}
-			}
 			if !in.Graph.ConcurrentAt(u.ReadIdx, u.Task, f.Idx, f.Task) {
 				res.Stats.FilteredOrdered++
 				if col != nil {
@@ -463,7 +410,6 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 	cFilteredAlloc.Add(int64(res.Stats.FilteredIntraAlloc))
 	cFilteredGuard.Add(int64(res.Stats.FilteredIfGuard))
 	cFilteredStatic.Add(int64(res.Stats.FilteredStaticGuard))
-	cFilteredSOrder.Add(int64(res.Stats.FilteredStaticOrder))
 	cDuplicates.Add(int64(res.Stats.Duplicates))
 	cRacesReported.Add(int64(len(res.Races)))
 	return res, nil

@@ -292,6 +292,11 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		}
 		for _, opts := range []Options{{}, {Conventional: true}} {
 			g, ref := assertMatchesReference(t, ps, opts)
+			// Every round but the last adds an edge, so the fixpoint
+			// needs no round cap.
+			if st := g.Stats(); st.Rounds > st.RuleEdges+1 {
+				t.Fatalf("opts %+v: %d rounds for %d rule edges", opts, st.Rounds, st.RuleEdges)
+			}
 			assertExplainMatches(t, g, ref, data)
 			assertAncestorMatches(t, g, ref, data)
 		}
@@ -320,10 +325,7 @@ func FuzzConventionalProjection(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := buildRef(ps, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := buildRef(ps, opts)
 		h := fnv.New64a()
 		h.Write(data)
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))

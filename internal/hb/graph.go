@@ -58,7 +58,6 @@
 package hb
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 	"sync"
@@ -89,8 +88,6 @@ type Options struct {
 	// is the adjacency alone; reachability is computed per queried
 	// column, in batches announced through Graph.Project.
 	Conventional bool
-	// MaxRounds bounds fixpoint iteration (safety; 0 = default 64).
-	MaxRounds int
 }
 
 // node is one reduced node of the graph.
@@ -156,7 +153,8 @@ func Build(tr *trace.Trace, opts Options) (*Graph, error) {
 
 // BuildFromScan constructs a graph over a shared Prescan. Multiple
 // calls over one Prescan (e.g. the event-driven and conventional
-// models) are safe: the Prescan is read-only.
+// models) are safe: the Prescan is read-only. The error result is
+// reserved for a work budget; no build fails today.
 func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 	g := newGraph(ps, opts)
 	if opts.Conventional {
@@ -174,8 +172,8 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 		g.pending = nil
 		g.rounds = 1
 		g.proj = new(projection)
-	} else if err := g.fixpoint(); err != nil {
-		return nil, err
+	} else {
+		g.fixpoint()
 	}
 	cBuilds.Inc()
 	cBaseEdges.Add(int64(g.baseEdges))
@@ -187,9 +185,6 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 
 // newGraph returns a graph over ps holding its base edges.
 func newGraph(ps *Prescan, opts Options) *Graph {
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 64
-	}
 	g := &Graph{
 		tr:        ps.tr,
 		opts:      opts,
@@ -208,13 +203,12 @@ func newGraph(ps *Prescan, opts Options) *Graph {
 }
 
 // fixpoint alternates closure and rule application until no rule
-// adds an edge.
-func (g *Graph) fixpoint() error {
+// adds an edge. It always terminates: every round but the last adds at
+// least one end → begin edge, and a trace has finitely many, so
+// Rounds ≤ RuleEdges+1.
+func (g *Graph) fixpoint() {
 	g.reach = newRowSet(g.ix)
 	for round := 0; ; round++ {
-		if round >= g.opts.MaxRounds {
-			return fmt.Errorf("hb: fixpoint did not converge in %d rounds", g.opts.MaxRounds)
-		}
 		g.rounds = round + 1
 		if round == 0 {
 			g.closure()
@@ -223,7 +217,7 @@ func (g *Graph) fixpoint() error {
 			g.incrementalClosure()
 		}
 		if !g.applyDerivedRules() {
-			return nil
+			return
 		}
 	}
 }

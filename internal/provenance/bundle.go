@@ -148,13 +148,12 @@ type PruneRecord struct {
 	FreeIdx int    `json:"freeIdx"`
 
 	// Stage-specific witness (exactly one group is populated).
-	Direction   string     `json:"direction,omitempty"`   // ordered, static-order
+	Direction   string     `json:"direction,omitempty"`   // ordered
 	Path        []EntryRef `json:"path,omitempty"`        // ordered
 	CommonLocks []string   `json:"commonLocks,omitempty"` // lockset
 	Alloc       *EntryRef  `json:"alloc,omitempty"`       // intra-alloc
 	Guard       *GuardRef  `json:"guard,omitempty"`       // if-guard
 	Class       string     `json:"class,omitempty"`       // dedup
-	StaticPath  []string   `json:"staticPath,omitempty"`  // static-order
 
 	PathTruncated bool `json:"pathTruncated,omitempty"`
 }
@@ -299,13 +298,6 @@ func (c *Collector) Bundle(file string) InputEvidence {
 			}
 		case detect.PruneDedup:
 			pr.Class = p.W.Class.String()
-		case detect.PruneStaticOrder:
-			if p.W.UseBeforeFree {
-				pr.Direction = DirUseBeforeFree.String()
-			} else {
-				pr.Direction = DirFreeBeforeUse.String()
-			}
-			pr.StaticPath = p.W.StaticPath
 		}
 		in.Pruned = append(in.Pruned, pr)
 	}

@@ -145,8 +145,6 @@ func (h *htmlPage) bundle(b *Bundle) {
 	h.num(s.FilteredIntraAlloc)
 	h.raw("\nstatic-guard=")
 	h.num(s.FilteredStaticGuard)
-	h.raw(" static-order=")
-	h.num(s.FilteredStaticOrder)
 	h.raw("\nduplicates=")
 	h.num(s.Duplicates)
 	h.raw("</p>\n")
@@ -279,11 +277,6 @@ func (h *htmlPage) pruned(p *PruneRecord) {
 			h.raw(" via ")
 			h.num(len(p.Path))
 			h.raw(" step(s)")
-		}
-		if len(p.StaticPath) > 0 {
-			h.raw(" via static order (")
-			h.num(len(p.StaticPath))
-			h.raw(" step(s))")
 		}
 	}
 	h.words(p.CommonLocks)

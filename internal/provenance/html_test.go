@@ -48,7 +48,7 @@ td.mono { font-family: monospace; }
 candidates={{.Stats.Candidates}} &middot;
 filtered: ordered={{.Stats.FilteredOrdered}} lockset={{.Stats.FilteredLockset}}
 if-guard={{.Stats.FilteredIfGuard}} intra-alloc={{.Stats.FilteredIntraAlloc}}
-static-guard={{.Stats.FilteredStaticGuard}} static-order={{.Stats.FilteredStaticOrder}}
+static-guard={{.Stats.FilteredStaticGuard}}
 duplicates={{.Stats.Duplicates}}</p>
 {{range .Inputs}}
 <h2>{{.File}}</h2>
@@ -79,7 +79,7 @@ free: {{.FreeTask}} {{.FreeMethod}}@{{.FreePC}} (#{{.FreeIdx}}) &middot;
 <tr><th>stage</th><th>site</th><th>use#</th><th>free#</th><th>witness</th></tr>
 {{range .Pruned}}
 <tr><td>{{.Stage}}</td><td class="mono">{{.Site}}</td><td>{{.UseIdx}}</td><td>{{.FreeIdx}}</td>
-<td class="mono">{{if .Direction}}{{.Direction}}{{if .Path}} via {{len .Path}} step(s){{end}}{{if .StaticPath}} via static order ({{len .StaticPath}} step(s)){{end}}{{end}}{{range .CommonLocks}}{{.}} {{end}}{{if .Alloc}}alloc #{{.Alloc.Idx}} {{.Alloc.Entry}}{{end}}{{if .Guard}}guard #{{.Guard.Idx}} {{.Guard.Entry}} region [{{.Guard.RegionLo}},{{.Guard.RegionHi}}]{{end}}{{if .Class}}dup of {{.Class}}{{end}}</td></tr>
+<td class="mono">{{if .Direction}}{{.Direction}}{{if .Path}} via {{len .Path}} step(s){{end}}{{end}}{{range .CommonLocks}}{{.}} {{end}}{{if .Alloc}}alloc #{{.Alloc.Idx}} {{.Alloc.Entry}}{{end}}{{if .Guard}}guard #{{.Guard.Idx}} {{.Guard.Entry}} region [{{.Guard.RegionLo}},{{.Guard.RegionHi}}]{{end}}{{if .Class}}dup of {{.Class}}{{end}}</td></tr>
 {{end}}
 </table>
 {{end}}
@@ -280,8 +280,7 @@ func (f *fuzzSource) stats() detect.Stats {
 	return detect.Stats{
 		Uses: f.int(), Frees: f.int(), Allocs: f.int(), Candidates: f.int(),
 		FilteredOrdered: f.int(), FilteredLockset: f.int(), FilteredIfGuard: f.int(),
-		FilteredIntraAlloc: f.int(), FilteredStaticGuard: f.int(),
-		FilteredStaticOrder: f.int(), Duplicates: f.int(),
+		FilteredIntraAlloc: f.int(), FilteredStaticGuard: f.int(), Duplicates: f.int(),
 	}
 }
 
@@ -324,7 +323,6 @@ func (f *fuzzSource) pruned() provenance.PruneRecord {
 	if f.bool() {
 		p.Class = f.str()
 	}
-	p.StaticPath = f.strs()
 	p.PathTruncated = f.bool()
 	return p
 }

@@ -2,6 +2,7 @@ package provenance_test
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -292,6 +293,26 @@ func TestDiffClassification(t *testing.T) {
 	same := provenance.Diff(base, base, "base.json")
 	if same.HasNew() || len(same.Fixed) != 0 {
 		t.Errorf("self-diff must be clean: %+v", same)
+	}
+
+	// A baseline written before the static-order prune stage was
+	// removed carries that stage's stats field and a static-order
+	// prune record with a staticPath. It reads under the same version
+	// and diffs clean against the same sites.
+	raw, err := os.ReadFile("testdata/baseline_static_order.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := provenance.ReadBundle(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("baseline from before the stage was removed: %v", err)
+	}
+	d = provenance.Diff(old, mkBundle(
+		"ptr_b0: use use_b0@1 free freeBody_b0@1",
+		"ptr_f1x0: use useReg_f1x0@1 free cb_f1x0@1",
+	), "baseline_static_order.json")
+	if d.HasNew() || len(d.Fixed) != 0 || len(d.Persisting) != 2 {
+		t.Errorf("diff against the old baseline = %s", d.Format())
 	}
 }
 

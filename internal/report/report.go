@@ -15,7 +15,6 @@ import (
 	"cafa/internal/detect"
 	"cafa/internal/hb"
 	"cafa/internal/sim"
-	"cafa/internal/static"
 	"cafa/internal/trace"
 )
 
@@ -68,10 +67,6 @@ type RunOptions struct {
 	// sites (the static Figure 6 pass) on top of the dynamic if-guard
 	// heuristic.
 	StaticGuards bool
-	// StaticOrders skips the dynamic HB query for candidate pairs the
-	// static event-order pass proves must-ordered, under the
-	// closed-world entry-point inventory the app build records.
-	StaticOrders bool
 	// Workers bounds RunAll's app-level concurrency (0 = GOMAXPROCS).
 	Workers int
 }
@@ -109,14 +104,10 @@ func analyze(tr *trace.Trace, b *apps.BuildOut, opts RunOptions) (*AppResult, er
 	if opts.Precise {
 		popts.DerefSources = dataflow.DerefSources(b.Prog)
 	}
-	if opts.Interproc || opts.StaticGuards || opts.StaticOrders {
+	if opts.Interproc || opts.StaticGuards {
 		popts.Program = b.Prog
 		popts.Interproc = opts.Interproc
 		popts.StaticGuardPrune = opts.StaticGuards
-		popts.StaticOrderPrune = opts.StaticOrders
-		if opts.StaticOrders {
-			popts.Roots = static.RootsFromNames(b.Prog, b.Sys.Roots())
-		}
 	}
 	det, err := analysis.Analyze(tr, popts)
 	if err != nil {

@@ -158,37 +158,3 @@ func TestRunAppSeedVariation(t *testing.T) {
 		}
 	}
 }
-
-// TestTable1StaticOrderDifferential: the static event-order prune is
-// invisible in the rendered evaluation — Table 1 and the problem list
-// are byte-identical with the prune on and off — while the detector
-// stats show it actually fired (the skipped dynamic HB queries moved
-// from the ordered stage to the static-order stage).
-func TestTable1StaticOrderDifferential(t *testing.T) {
-	plain, err := RunAll(RunOptions{Scale: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := RunAll(RunOptions{Scale: 40, StaticOrders: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := Table1(pruned), Table1(plain); got != want {
-		t.Errorf("Table 1 differs with static order pruning on:\n--- plain\n%s\n--- pruned\n%s", want, got)
-	}
-	if got, want := Problems(pruned), Problems(plain); got != want {
-		t.Errorf("problem list differs with static order pruning on:\n--- plain\n%s\n--- pruned\n%s", want, got)
-	}
-	fired := 0
-	for i, r := range pruned {
-		fired += r.DetectStats.FilteredStaticOrder
-		p := plain[i].DetectStats
-		q := r.DetectStats
-		if q.FilteredOrdered+q.FilteredStaticOrder != p.FilteredOrdered+p.FilteredStaticOrder {
-			t.Errorf("%s: ordered-stage totals differ: plain %+v, pruned %+v", r.Name, p, q)
-		}
-	}
-	if fired == 0 {
-		t.Error("static-order prune never fired across the suite")
-	}
-}

@@ -12,7 +12,7 @@ package static
 // the intrinsic call sites inside event methods; an edge means "every
 // dynamic occurrence of the source precedes every dynamic occurrence
 // of the target". That all-pairs reading is what makes the relation a
-// *must*-order usable for pruning, and it is why almost every rule
+// *must*-order, and it is why almost every rule
 // requires the participating events to run **exactly once**: a method
 // entered twice has interleaving instances and nothing all-pairs can
 // be said about its sites.
@@ -26,18 +26,16 @@ package static
 // the pass can refine answers but never invent ordering where entry
 // points are unknown.
 //
-// Two relations are derived from one graph:
-//
-//   - the full (lint) relation uses every rule and feeds cafa-lint's
-//     static-ordered verdict — a claim about real executions;
-//   - the prune (dyn-sound) relation drops the rules the dynamic HB
-//     model does not mirror on every recorded trace: listener edges
-//     (uninstrumented listener ids emit no register/perform trace
-//     entries) and FIFO edges (adversarial replay may inflate send
-//     delays past the static constants). Orders derivable from the
-//     remaining rules — post, fork/join, rpc, program order — are
-//     HB-ordered in every trace of the program, so the detector may
-//     skip the dynamic query for them.
+// The relation uses every rule and feeds cafa-lint's static-ordered
+// verdict — a claim about real executions. Each order also records its
+// strength: DynSound when the derivation avoids the rules the dynamic
+// HB model does not mirror on every recorded trace — listener edges
+// (uninstrumented listener ids emit no register/perform trace entries)
+// and FIFO edges (adversarial replay may inflate send delays past the
+// static constants). An order derivable from the remaining rules —
+// post, fork/join, rpc, program order — is HB-ordered in every trace
+// of the program; the analysis tests check exactly that against the
+// dynamic model. The detector itself takes ordering from hb alone.
 
 import (
 	"fmt"
@@ -75,19 +73,17 @@ type OrderInfo struct {
 	// precedes every free occurrence.
 	UseBeforeFree bool
 	// DynSound: the derivation used only rules mirrored by dynamic HB
-	// on every recorded trace, so the detector may prune on it.
+	// on every recorded trace, so every trace of the program orders the
+	// pair the same way.
 	DynSound bool
 	// Witness is the human-readable derivation chain.
 	Witness []string
 }
 
-// Orders is the event-order pass output: per-pair must-orders plus
-// the dyn-sound projection the detector prunes with.
+// Orders is the event-order pass output: per-pair must-orders.
 type Orders struct {
 	// ByKey holds every derived order, keyed like the pair it orders.
 	ByKey map[detect.SiteKey]OrderInfo
-
-	prune map[detect.OrderKey]detect.StaticOrder
 }
 
 // Lookup returns the derived order for a site pair, if any.
@@ -107,23 +103,11 @@ func (o *Orders) Ordered() int {
 	return len(o.ByKey)
 }
 
-// PruneMap returns the dyn-sound orders keyed for detect.Input's
-// StaticOrders stage. The map is shared, read-only.
-func (o *Orders) PruneMap() map[detect.OrderKey]detect.StaticOrder {
-	if o == nil {
-		return nil
-	}
-	return o.prune
-}
-
 // ComputeOrders runs the event-order engine over the call graph and
 // queries it for every enumerated pair. With roots == nil (open
 // world) the result is empty.
 func ComputeOrders(cg *CallGraph, pairs []Pair, roots map[trace.MethodID]int) *Orders {
-	o := &Orders{
-		ByKey: make(map[detect.SiteKey]OrderInfo),
-		prune: make(map[detect.OrderKey]detect.StaticOrder),
-	}
+	o := &Orders{ByKey: make(map[detect.SiteKey]OrderInfo)}
 	if cg == nil || roots == nil {
 		return o
 	}
@@ -138,12 +122,6 @@ func ComputeOrders(cg *CallGraph, pairs []Pair, roots map[trace.MethodID]int) *O
 			continue
 		}
 		o.ByKey[p.Key] = info
-		if info.DynSound {
-			o.prune[detect.OrderKey{
-				UseMethod: p.Key.UseMethod, UsePC: p.Key.UsePC,
-				FreeMethod: p.Key.FreeMethod, FreePC: p.Key.FreePC,
-			}] = detect.StaticOrder{UseBeforeFree: info.UseBeforeFree, Witness: info.Witness}
-		}
 	}
 	return o
 }
@@ -180,8 +158,8 @@ type orderEdge struct {
 	to   int
 	rule string
 	// lintOnly marks rules without a dynamic-HB mirror on arbitrary
-	// recorded traces (listener registration, const-delay FIFO); the
-	// prune relation excludes them.
+	// recorded traces (listener registration, const-delay FIFO); a
+	// DynSound derivation avoids them.
 	lintOnly bool
 }
 
@@ -693,7 +671,7 @@ func (e *orderEngine) buildListenerEdges() {
 // themselves are ordered, then the first event ends before the second
 // begins. New edges can order more send pairs, so iterate to a
 // fixpoint. Lint-only: adversarial replay may inflate delays past the
-// static constants, so the prune relation keeps clear of it.
+// static constants, so DynSound derivations keep clear of it.
 func (e *orderEngine) buildFIFOEdges() {
 	stored := make(map[trace.FieldID]bool)
 	for _, m := range e.cg.Prog.Methods {
@@ -802,7 +780,7 @@ func (e *orderEngine) siteBefore(a, b nodeRef) bool {
 }
 
 // bfs searches forward from the sources to any target, returning the
-// node path. dynOnly restricts to the prune relation's edges.
+// node path. dynOnly restricts to the DynSound rules' edges.
 func (e *orderEngine) bfs(sources []int, targets map[int]bool, dynOnly bool) ([]int, bool) {
 	parent := make(map[int]int)
 	seen := make(map[int]bool)

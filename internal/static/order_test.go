@@ -47,6 +47,18 @@ func ordersFor(t *testing.T, p *dvm.Program, keys []detect.SiteKey, rootNames ..
 
 func witnessText(info OrderInfo) string { return strings.Join(info.Witness, "\n") }
 
+// dynSoundOrders counts the derived orders whose derivation uses only
+// rules the dynamic HB model mirrors.
+func dynSoundOrders(o *Orders) int {
+	n := 0
+	for _, info := range o.ByKey {
+		if info.DynSound {
+			n++
+		}
+	}
+	return n
+}
+
 // TestOrderPostChain: the use runs in a rooted event that afterwards
 // posts the freeing handler — the post rule orders use before free,
 // dyn-soundly (the dynamic model has the same post edge).
@@ -79,12 +91,8 @@ func TestOrderPostChain(t *testing.T) {
 	if w := witnessText(info); !strings.Contains(w, "post") {
 		t.Errorf("witness does not cite the post rule:\n%s", w)
 	}
-	ok2 := false
-	_, ok2 = o.PruneMap()[detect.OrderKey{
-		UseMethod: k.UseMethod, UsePC: k.UsePC, FreeMethod: k.FreeMethod, FreePC: k.FreePC,
-	}]
-	if !ok2 {
-		t.Error("dyn-sound order missing from the prune projection")
+	if n := dynSoundOrders(o); n != 1 {
+		t.Errorf("%d dyn-sound orders, want 1", n)
 	}
 }
 
@@ -225,8 +233,8 @@ func TestOrderListenerLintOnly(t *testing.T) {
 	if w := witnessText(info); !strings.Contains(w, "listener") {
 		t.Errorf("witness does not cite the listener rule:\n%s", w)
 	}
-	if len(o.PruneMap()) != 0 {
-		t.Errorf("lint-only listener order leaked into the prune projection: %+v", o.PruneMap())
+	if n := dynSoundOrders(o); n != 0 {
+		t.Errorf("lint-only listener rule yielded %d dyn-sound orders: %+v", n, o.ByKey)
 	}
 }
 
@@ -341,8 +349,8 @@ func TestOrderFIFOLintOnly(t *testing.T) {
 	if w := witnessText(info); !strings.Contains(w, "fifo") {
 		t.Errorf("witness does not cite the fifo rule:\n%s", w)
 	}
-	if len(o.PruneMap()) != 0 {
-		t.Errorf("lint-only fifo order leaked into the prune projection: %+v", o.PruneMap())
+	if n := dynSoundOrders(o); n != 0 {
+		t.Errorf("lint-only fifo rule yielded %d dyn-sound orders: %+v", n, o.ByKey)
 	}
 
 	// Larger delay posted first: rule premise fails, nothing derived.
@@ -403,8 +411,8 @@ loop:
 	if _, ok := o.Lookup(kLoop); ok {
 		t.Error("pair inside a CFG cycle must not be ordered")
 	}
-	if len(o.PruneMap()) != 2 {
-		t.Errorf("prune projection holds %d orders, want 2", len(o.PruneMap()))
+	if n := dynSoundOrders(o); n != 2 {
+		t.Errorf("%d dyn-sound orders, want 2", n)
 	}
 }
 
@@ -432,9 +440,8 @@ func TestOrderOpenWorldBottom(t *testing.T) {
 		FreeMethod: methodID(t, p, "evB"), FreePC: pcOf(t, p, "evB", dvm.CIput),
 	}
 	o := ComputeOrders(BuildCallGraph(p), []Pair{{Key: k}}, nil)
-	if o.Ordered() != 0 || len(o.PruneMap()) != 0 {
-		t.Errorf("open world derived %d orders (%d prunable), want 0",
-			o.Ordered(), len(o.PruneMap()))
+	if o.Ordered() != 0 {
+		t.Errorf("open world derived %d orders, want 0", o.Ordered())
 	}
 }
 

@@ -1,12 +1,7 @@
 package cafa
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -17,7 +12,7 @@ import (
 	"cafa/internal/trace"
 )
 
-var updateBench = flag.Bool("update-bench", false, "rewrite BENCH_obs.json with the measured obs overhead")
+var updateBench = flag.Bool("update-bench", false, "rewrite the BENCH_*.json artifacts with fresh measurements")
 
 // obsOverheadThreshold is the acceptance bound from the obs design
 // contract: enabling instrumentation may cost at most 5% wall-clock
@@ -43,12 +38,11 @@ func suiteTraces(tb testing.TB) []*trace.Trace {
 	return traces
 }
 
-// analyzeSuite runs the batch pipeline over the suite once and
-// returns the wall-clock time.
-func analyzeSuite(tb testing.TB, p *analysis.Pipeline, traces []*trace.Trace) time.Duration {
+// analyzeTimed analyzes one trace and returns the wall-clock time.
+func analyzeTimed(tb testing.TB, p *analysis.Pipeline, tr *trace.Trace) time.Duration {
 	tb.Helper()
 	t0 := time.Now()
-	if _, err := p.AnalyzeAll(traces); err != nil {
+	if _, err := p.Analyze(tr); err != nil {
 		tb.Fatal(err)
 	}
 	return time.Since(t0)
@@ -56,82 +50,32 @@ func analyzeSuite(tb testing.TB, p *analysis.Pipeline, traces []*trace.Trace) ti
 
 // TestObsOverhead is the obs-layer performance proof: the ten-app
 // analysis suite with instrumentation enabled must stay within the
-// overhead threshold of the uninstrumented run. Iterations alternate
-// enabled/disabled and the minimum of each side is compared, which
-// damps scheduler and GC noise on shared CI hosts.
+// overhead threshold of the uninstrumented run.
 func TestObsOverhead(t *testing.T) {
 	if obs.Enabled() {
 		t.Fatal("obs unexpectedly enabled at test start")
 	}
-	threshold := obsOverheadThreshold
-	if env := os.Getenv("OBS_OVERHEAD_MAX"); env != "" {
-		v, err := strconv.ParseFloat(env, 64)
-		if err != nil {
-			t.Fatalf("bad OBS_OVERHEAD_MAX %q: %v", env, err)
-		}
-		threshold = v
-	}
-
-	traces := suiteTraces(t)
-	p := analysis.New(analysis.Options{})
-
-	// Warm-up: touch every code path once on both sides so lazy init
-	// and cache effects don't land on the first measured iteration.
-	analyzeSuite(t, p, traces)
-	obs.Enable()
-	analyzeSuite(t, p, traces)
-	obs.Disable()
-	obs.Reset()
-
-	const iters = 5
-	minOff := time.Duration(1<<63 - 1)
-	minOn := minOff
-	for i := 0; i < iters; i++ {
-		if d := analyzeSuite(t, p, traces); d < minOff {
-			minOff = d
-		}
-		obs.Enable()
-		d := analyzeSuite(t, p, traces)
-		obs.Disable()
-		obs.Reset()
-		if d < minOn {
-			minOn = d
-		}
-	}
-
-	ratio := float64(minOn) / float64(minOff)
-	t.Logf("obs overhead: disabled=%v enabled=%v ratio=%.4f (threshold %.2f)", minOff, minOn, ratio, threshold)
-
-	if *updateBench {
-		writeBenchObs(t, minOff, minOn, ratio)
-	}
-	if ratio >= threshold {
-		t.Errorf("obs overhead %.4f exceeds threshold %.2f (disabled %v, enabled %v)",
-			ratio, threshold, minOff, minOn)
-	}
+	obsGate(t, suiteTraces(t)).run(t)
 }
 
-// writeBenchObs records the measurement in BENCH_obs.json at the repo
-// root, the artifact named by the acceptance criteria.
-func writeBenchObs(t *testing.T, off, on time.Duration, ratio float64) {
-	t.Helper()
-	doc := map[string]any{
-		"recorded":   time.Now().Format("2006-01-02"),
-		"go":         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"note": "Wall-clock of analysis.AnalyzeAll over the ten app traces (benchScale, seed 1), " +
-			"min of 5 alternating iterations per side. Regenerate with `go test -run TestObsOverhead -update-bench .`.",
-		"suite":       fmt.Sprintf("%d apps at scale %d", len(apps.Registry), benchScale),
-		"disabled_ns": off.Nanoseconds(),
-		"enabled_ns":  on.Nanoseconds(),
-		"overhead":    ratio,
-		"threshold":   obsOverheadThreshold,
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+// obsGate times the pipeline over traces with obs disabled and
+// enabled.
+func obsGate(tb testing.TB, traces []*trace.Trace) overheadGate {
+	p := analysis.New(analysis.Options{})
+	return overheadGate{
+		name:      "obs",
+		threshold: obsOverheadThreshold,
+		env:       "OBS_OVERHEAD_MAX",
+		test:      "TestObsOverhead",
+		bench:     "BENCH_obs.json",
+		traces:    traces,
+		off:       func(tr *trace.Trace) time.Duration { return analyzeTimed(tb, p, tr) },
+		on: func(tr *trace.Trace) time.Duration {
+			obs.Enable()
+			d := analyzeTimed(tb, p, tr)
+			obs.Disable()
+			obs.Reset()
+			return d
+		},
 	}
 }

@@ -2,10 +2,6 @@ package cafa
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -67,65 +63,25 @@ func TestEvidenceDoesNotChangeResults(t *testing.T) {
 }
 
 // TestEvidenceOverhead bounds the collector's cost on the ten-app
-// suite, alternating on/off and comparing minima (same discipline as
-// TestObsOverhead). -update-bench records BENCH_provenance.json.
+// suite. -update-bench records BENCH_provenance.json.
 func TestEvidenceOverhead(t *testing.T) {
-	threshold := evidenceOverheadThreshold
-	if env := os.Getenv("EVIDENCE_OVERHEAD_MAX"); env != "" {
-		v, err := strconv.ParseFloat(env, 64)
-		if err != nil {
-			t.Fatalf("bad EVIDENCE_OVERHEAD_MAX %q: %v", env, err)
-		}
-		threshold = v
-	}
+	evidenceGate(t, suiteTraces(t)).run(t)
+}
 
-	traces := suiteTraces(t)
+// evidenceGate times the pipeline over traces without and with the
+// provenance collector attached.
+func evidenceGate(tb testing.TB, traces []*trace.Trace) overheadGate {
 	pOff := analysis.New(analysis.Options{})
 	pOn := analysis.New(analysis.Options{Evidence: true})
-
-	// Warm-up both sides.
-	analyzeSuite(t, pOff, traces)
-	analyzeSuite(t, pOn, traces)
-
-	const iters = 5
-	minOff := time.Duration(1<<63 - 1)
-	minOn := minOff
-	for i := 0; i < iters; i++ {
-		if d := analyzeSuite(t, pOff, traces); d < minOff {
-			minOff = d
-		}
-		if d := analyzeSuite(t, pOn, traces); d < minOn {
-			minOn = d
-		}
-	}
-
-	ratio := float64(minOn) / float64(minOff)
-	t.Logf("evidence overhead: off=%v on=%v ratio=%.4f (threshold %.2f)", minOff, minOn, ratio, threshold)
-
-	if *updateBench {
-		doc := map[string]any{
-			"recorded":   time.Now().Format("2006-01-02"),
-			"go":         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"note": "Wall-clock of analysis.AnalyzeAll over the ten app traces (benchScale, seed 1), " +
-				"min of 5 alternating iterations per side. Regenerate with `go test -run TestEvidenceOverhead -update-bench .`.",
-			"suite":       fmt.Sprintf("%d apps at scale %d", len(apps.Registry), benchScale),
-			"disabled_ns": minOff.Nanoseconds(),
-			"enabled_ns":  minOn.Nanoseconds(),
-			"overhead":    ratio,
-			"threshold":   evidenceOverheadThreshold,
-		}
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile("BENCH_provenance.json", append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ratio >= threshold {
-		t.Errorf("evidence overhead %.4f exceeds threshold %.2f (off %v, on %v)",
-			ratio, threshold, minOff, minOn)
+	return overheadGate{
+		name:      "evidence",
+		threshold: evidenceOverheadThreshold,
+		env:       "EVIDENCE_OVERHEAD_MAX",
+		test:      "TestEvidenceOverhead",
+		bench:     "BENCH_provenance.json",
+		traces:    traces,
+		off:       func(tr *trace.Trace) time.Duration { return analyzeTimed(tb, pOff, tr) },
+		on:        func(tr *trace.Trace) time.Duration { return analyzeTimed(tb, pOn, tr) },
 	}
 }
 
