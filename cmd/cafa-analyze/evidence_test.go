@@ -109,11 +109,8 @@ func TestGoldenSuiteEvidence(t *testing.T) {
 			gotBytes.Len(), golden, len(wantBytes))
 	}
 
-	// The acceptance bar for the bundle itself: every dynamic prune
-	// stage except static-guard carries at least one witness (the
-	// static prune needs the whole-program pass, which cafa-analyze
-	// does not run; its witness is covered by the root
-	// TestEvidenceAllStagesWitnessed fixture).
+	// The acceptance bar for the bundle itself: every prune stage
+	// carries at least one witness.
 	stages := map[string]int{}
 	races := 0
 	for _, in := range got.Inputs {

@@ -391,7 +391,6 @@ func analyzeFiles(cfg *config) ([]*report.FileReport, error) {
 		// -explain renders Explain paths through the retained
 		// entries; the collector it attaches changes no result.
 		Evidence: cfg.wantEvidence() || cfg.explain,
-		Workers:  cfg.workers,
 	})
 	reports := make([]*report.FileReport, len(cfg.inputs))
 	errs := make([]error, len(cfg.inputs))
@@ -449,8 +448,8 @@ func emitText(w io.Writer, cfg *config, reports []*report.FileReport) error {
 		for _, r := range res.Races {
 			fmt.Fprintf(w, "  [%s] %s\n", r.Class, r.Describe(tr))
 			if cfg.context {
-				fmt.Fprintf(w, "    use context:  %s\n", detect.FormatStack(tr, res.StackAt(r.Use.DerefIdx)))
-				fmt.Fprintf(w, "    free context: %s\n", detect.FormatStack(tr, res.StackAt(r.Free.Idx)))
+				fmt.Fprintf(w, "    use context:  %s\n", detect.FormatStack(tr, res.Stacks[r.Use.DerefIdx]))
+				fmt.Fprintf(w, "    free context: %s\n", detect.FormatStack(tr, res.Stacks[r.Free.Idx]))
 			}
 			if cfg.explain {
 				v := provenance.ExplainConv(res.Conventional, r.Use.ReadIdx, r.Free.Idx)
@@ -470,8 +469,8 @@ func emitText(w io.Writer, cfg *config, reports []*report.FileReport) error {
 			st := res.Stats
 			fmt.Fprintf(w, "pipeline: uses=%d frees=%d allocs=%d candidates=%d\n",
 				st.Uses, st.Frees, st.Allocs, st.Candidates)
-			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d static-guard=%d duplicates=%d\n",
-				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.FilteredStaticGuard, st.Duplicates)
+			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d duplicates=%d\n",
+				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.Duplicates)
 			gs := res.GraphStats
 			fmt.Fprintf(w, "graph: nodes=%d base-edges=%d rule-edges=%d fixpoint-rounds=%d\n",
 				gs.Nodes, gs.BaseEdges, gs.RuleEdges, gs.Rounds)
@@ -494,8 +493,8 @@ func emitText(w io.Writer, cfg *config, reports []*report.FileReport) error {
 			st := agg.stats
 			fmt.Fprintf(w, "pipeline: uses=%d frees=%d allocs=%d candidates=%d\n",
 				st.Uses, st.Frees, st.Allocs, st.Candidates)
-			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d static-guard=%d duplicates=%d\n",
-				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.FilteredStaticGuard, st.Duplicates)
+			fmt.Fprintf(w, "filtered: ordered=%d lockset=%d if-guard=%d intra-alloc=%d duplicates=%d\n",
+				st.FilteredOrdered, st.FilteredLockset, st.FilteredIfGuard, st.FilteredIntraAlloc, st.Duplicates)
 		}
 		if cfg.naive {
 			fmt.Fprintf(w, "low-level conflicting-access races (naive baseline): %d\n", agg.naive)

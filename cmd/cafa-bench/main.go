@@ -160,21 +160,6 @@ func main() {
 		}
 		fmt.Printf("%-22s %4d reported races (Type III: %d; interprocedural def-use chains)\n",
 			"interproc use matching", total, fp3)
-		// Static guard filter: prune uses whose deref site the static
-		// Figure 6 pass proves null-tested, on top of the dynamic
-		// heuristic.
-		total = 0
-		staticGuarded := 0
-		results, err = report.RunAll(report.RunOptions{Seed: *seed, Scale: *scale, StaticGuards: true, Workers: *jobs})
-		if err != nil {
-			fail("%v", err)
-		}
-		for _, r := range results {
-			total += r.Reported
-			staticGuarded += r.DetectStats.FilteredStaticGuard
-		}
-		fmt.Printf("%-22s %4d reported races (extra static-guard prunes: %d)\n",
-			"static guard filter", total, staticGuarded)
 		fmt.Println()
 	}
 

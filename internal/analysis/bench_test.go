@@ -54,8 +54,8 @@ func BenchmarkAnalyzePipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeAll measures the batch path: the large synthetic
-// trace analyzed repeatedly under the bounded worker pool.
+// BenchmarkAnalyzeAll measures the multi-trace path: the large
+// synthetic trace analyzed repeatedly by one Pipeline under ForEach.
 func BenchmarkAnalyzeAll(b *testing.B) {
 	traces := make([]*trace.Trace, 8)
 	for i := range traces {
@@ -67,10 +67,13 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 			name = "parallel"
 		}
 		b.Run(name, func(b *testing.B) {
-			p := New(Options{Workers: workers})
+			p := New(Options{})
 			for i := 0; i < b.N; i++ {
-				if _, err := p.AnalyzeAll(traces); err != nil {
-					b.Fatal(err)
+				_, errs := analyzeEach(p, workers, traces)
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

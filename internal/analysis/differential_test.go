@@ -124,32 +124,44 @@ func TestPipelineMatchesSerialWithAblations(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAllOrderAndErrors checks batch mode: results come back
-// in input order regardless of worker count, and an invalid trace
-// surfaces an error without losing the good results.
-func TestAnalyzeAllOrderAndErrors(t *testing.T) {
+// analyzeEach drives one shared Pipeline over traces with ForEach, as
+// cafa-analyze -j does: slot i holds trace i's result or error.
+func analyzeEach(p *Pipeline, workers int, traces []*trace.Trace) ([]*Result, []error) {
+	results := make([]*Result, len(traces))
+	errs := make([]error, len(traces))
+	ForEach(workers, len(traces), func(i int) {
+		results[i], errs[i] = p.Analyze(traces[i])
+	})
+	return results, errs
+}
+
+// TestForEachPipelineOrderAndErrors checks the contract the CLIs rely
+// on: one Pipeline shared by ForEach's workers returns every trace's
+// result in its input slot, identical to the serial pipeline whatever
+// the worker count, and a malformed trace fails its own slot only.
+func TestForEachPipelineOrderAndErrors(t *testing.T) {
 	var traces []*trace.Trace
 	var names []string
 	for _, spec := range apps.Registry[:4] {
 		traces = append(traces, appTrace(t, spec))
 		names = append(names, spec.Name)
 	}
-	for _, workers := range []int{0, 1, 2, 8} {
-		p := New(Options{Workers: workers})
-		results, err := p.AnalyzeAll(traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != len(traces) {
-			t.Fatalf("workers=%d: got %d results, want %d", workers, len(results), len(traces))
-		}
+	want := make([]*detect.Result, len(traces))
+	for i, tr := range traces {
+		want[i], _, _ = serialAnalyze(t, tr, detect.Options{})
+	}
+	p := New(Options{})
+	for _, workers := range []int{1, 2, 8} {
+		results, errs := analyzeEach(p, workers, traces)
 		for i, res := range results {
-			if res == nil || res.Trace != traces[i] {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d: %s: %v", workers, names[i], errs[i])
+			}
+			if res.Trace != traces[i] {
 				t.Fatalf("workers=%d: result %d out of order", workers, i)
 			}
-			want, _, _ := serialAnalyze(t, traces[i], detect.Options{})
-			if !reflect.DeepEqual(res.Races, want.Races) {
-				t.Errorf("workers=%d: %s: races diverge from serial", workers, names[i])
+			if !reflect.DeepEqual(res.Races, want[i].Races) || res.Stats != want[i].Stats {
+				t.Errorf("workers=%d: %s: result diverges from serial", workers, names[i])
 			}
 		}
 	}
@@ -160,15 +172,13 @@ func TestAnalyzeAllOrderAndErrors(t *testing.T) {
 	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
-	p := New(Options{Workers: 2})
-	results, err := p.AnalyzeAll([]*trace.Trace{traces[0], bad, traces[1]})
-	if err == nil {
-		t.Fatal("want error for malformed trace")
+	results, errs := analyzeEach(p, 2, []*trace.Trace{traces[0], bad, traces[1]})
+	if errs[1] == nil || results[1] != nil {
+		t.Errorf("malformed trace: result %v, error %v; want nil result and an error", results[1], errs[1])
 	}
-	if results[0] == nil || results[2] == nil {
-		t.Error("good traces should still have results")
-	}
-	if results[1] != nil {
-		t.Error("malformed trace should have a nil result")
+	for _, i := range []int{0, 2} {
+		if errs[i] != nil || results[i] == nil {
+			t.Errorf("slot %d: good trace lost its result: %v", i, errs[i])
+		}
 	}
 }

@@ -9,37 +9,34 @@
 // closure rows) and the conventional one (its adjacency alone) in
 // sequence over the scanned frontier, and runs the use-free detector,
 // which projects the conventional closure onto the candidates it
-// classifies. A Pipeline additionally analyzes many traces in
-// parallel under a bounded worker pool (batch mode).
+// classifies. One Pipeline may analyze many traces concurrently;
+// ForEach is the bounded pool the front ends drive it with.
 package analysis
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
 	"cafa/internal/dataflow"
 	"cafa/internal/detect"
-	"cafa/internal/dvm"
 	"cafa/internal/hb"
 	"cafa/internal/lockset"
 	"cafa/internal/obs"
 	"cafa/internal/provenance"
-	"cafa/internal/static"
 	"cafa/internal/trace"
 )
 
 // Pipeline observability (internal/obs). Each analyzed trace gets a
-// span tree: the per-trace span (one track — batch concurrency shows
+// span tree: the per-trace span (one track — concurrent traces show
 // up as parallel tracks) with a serial ingest child (the per-entry
 // sweep: "stream.ingest" over trace bytes, "ingest" over an in-memory
 // trace), a serial prescan child (base edges and anchor index), one
 // serial child per causality model ("hb.graph", "hb.conventional"),
-// and a serial detect child. Counters track batch scheduling.
+// and a serial detect child. Counters track traces analyzed and
+// failed.
 var (
 	cTracesAnalyzed = obs.NewCounter("analysis_traces_analyzed_total")
 	cTraceErrors    = obs.NewCounter("analysis_trace_errors_total")
-	cBatchTraces    = obs.NewCounter("analysis_batch_traces_total")
 )
 
 // Options configures a Pipeline.
@@ -50,22 +47,11 @@ type Options struct {
 	// baseline (the paper's §4.1 motivation).
 	Naive bool
 	// DerefSources, when non-nil, enables the static data-flow use
-	// matching extension (§6.3); see detect.Input.DerefSources.
+	// matching extension (§6.3); see detect.Input.DerefSources. The
+	// intra-method map (dataflow.DerefSources) and the
+	// interprocedural one (internal/static's ResolveDerefs) plug in
+	// alike.
 	DerefSources map[dataflow.Key]dataflow.Source
-	// Program, when non-nil, makes the whole-program static passes
-	// (internal/static) available to the pipeline. It is required by
-	// Interproc and StaticGuardPrune and is computed at most once per
-	// Pipeline — the program does not change across traces.
-	Program *dvm.Program
-	// Interproc matches dereferences through the interprocedural
-	// resolution (call-graph def-use chains) instead of the
-	// intra-method DerefSources. Requires Program; overrides
-	// DerefSources.
-	Interproc bool
-	// StaticGuardPrune additionally prunes uses whose deref site the
-	// static if-guard pass proves covered by a null test. Requires
-	// Program.
-	StaticGuardPrune bool
 	// Evidence attaches a provenance.Collector to each Detect call:
 	// Result.Evidence then carries per-race evidence records and
 	// per-filtered-candidate prune witnesses. Detection results are
@@ -73,15 +59,6 @@ type Options struct {
 	Evidence bool
 	// EvidenceOptions configures the collector when Evidence is set.
 	EvidenceOptions provenance.Options
-	// Workers bounds batch-mode concurrency (AnalyzeAll). 0 means
-	// GOMAXPROCS. Per-trace concurrency is fixed at the two graph
-	// builds and is not affected.
-	Workers int
-}
-
-// wantStatic reports whether the pipeline needs the static result.
-func (o *Options) wantStatic() bool {
-	return o.Program != nil && (o.Interproc || o.StaticGuardPrune)
 }
 
 // Result is the analysis of one trace.
@@ -105,35 +82,20 @@ type Result struct {
 	Conventional *hb.Graph
 	// Locks are the per-operation held-lock sets.
 	Locks *lockset.Sets
-	// Static is the whole-program static analysis result when the
-	// pipeline computed one (Options.Program with Interproc or
-	// StaticGuardPrune). Shared across traces of one Pipeline.
-	Static *static.Result
 	// Evidence is the provenance collector attached to the detector
 	// run, populated when Options.Evidence is set (nil otherwise).
 	Evidence *provenance.Collector
 	// Stacks are the call stacks at every extracted use deref and
 	// free, keyed by trace index: the detect.Extractor captures them
-	// as entries pass, in batch and streaming analysis alike.
+	// as entries pass.
 	Stacks map[int][]trace.MethodID
 }
 
-// StackAt returns the call stack at trace index idx from Stacks.
-// Report rendering goes through this so batch and streaming runs emit
-// identical context lines.
-func (r *Result) StackAt(idx int) []trace.MethodID {
-	return r.Stacks[idx]
-}
-
 // Pipeline is a reusable analyzer. The zero value is ready to use;
-// New applies Options.
+// New applies Options. A Pipeline holds no per-trace state, so one
+// may analyze many traces concurrently.
 type Pipeline struct {
 	opts Options
-
-	// The static result depends only on the program, so one Pipeline
-	// computes it at most once even across AnalyzeAll batches.
-	staticOnce sync.Once
-	static     *static.Result
 }
 
 // New returns a Pipeline with the given options.
@@ -159,7 +121,7 @@ func (p *Pipeline) Analyze(tr *trace.Trace) (*Result, error) {
 // FinishSpanned does too), so callers that label per-trace spans see
 // the detector outcome on the span itself. The caller Ends sp.
 func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error) {
-	a := p.newAnalyzer(tr, sp)
+	a := p.newAnalyzer(tr)
 	spIn := sp.Child("ingest")
 	for i := range tr.Entries {
 		if err := a.consume(&tr.Entries[i]); err != nil {
@@ -178,9 +140,6 @@ func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error
 type analyzer struct {
 	opts *Options
 	tr   *trace.Trace
-	// st is the whole-program static result, resolved before the
-	// first entry because Interproc extraction needs st.Derefs.
-	st *static.Result
 
 	scanner *hb.Scanner
 	locks   *lockset.Tracker
@@ -189,33 +148,14 @@ type analyzer struct {
 }
 
 // newAnalyzer returns an analyzer over tr, which supplies the task and
-// name tables (its Entries may be empty, as for a stream header). The
-// static result, when wanted, is resolved under a "static" child of
-// sp (nil is fine).
-func (p *Pipeline) newAnalyzer(tr *trace.Trace, sp *obs.Span) *analyzer {
-	var st *static.Result
-	if p.opts.wantStatic() {
-		// The static result depends only on the program; sync.Once
-		// caches it across traces and makes concurrent first calls
-		// safe.
-		spS := sp.Child("static")
-		p.staticOnce.Do(func() {
-			p.static = static.AnalyzeOpts(p.opts.Program, static.Options{})
-		})
-		spS.End()
-		st = p.static
-	}
-	sources := p.opts.DerefSources
-	if st != nil && p.opts.Interproc {
-		sources = st.Derefs
-	}
+// name tables (its Entries may be empty, as for a stream header).
+func (p *Pipeline) newAnalyzer(tr *trace.Trace) *analyzer {
 	return &analyzer{
 		opts:    &p.opts,
 		tr:      tr,
-		st:      st,
 		scanner: hb.NewScanner(tr),
 		locks:   lockset.NewTracker(),
-		ext:     detect.NewExtractor(sources),
+		ext:     detect.NewExtractor(p.opts.DerefSources),
 	}
 }
 
@@ -262,9 +202,6 @@ func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
 		Conventional: conv,
 		Locks:        ls,
 	}
-	if a.st != nil && opts.StaticGuardPrune {
-		in.StaticGuards = a.st.Guards
-	}
 	var col *provenance.Collector
 	if opts.Evidence {
 		col = provenance.NewCollector(a.tr, g, conv, ls, opts.EvidenceOptions)
@@ -286,7 +223,6 @@ func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
 		Graph:        g,
 		Conventional: conv,
 		Locks:        ls,
-		Static:       a.st,
 		Evidence:     col,
 		Stacks:       a.ext.Stacks(),
 	}
@@ -300,27 +236,6 @@ func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
 	return out, nil
 }
 
-// AnalyzeAll analyzes many traces under a bounded worker pool,
-// returning results in input order. The first error encountered is
-// returned (after all workers drain); its result slot and any
-// unanalyzed slots are nil.
-func (p *Pipeline) AnalyzeAll(traces []*trace.Trace) ([]*Result, error) {
-	results := make([]*Result, len(traces))
-	errs := make([]error, len(traces))
-	cBatchTraces.Add(int64(len(traces)))
-	ForEach(p.opts.Workers, len(traces), func(i int) {
-		sp := obs.Start("pipeline.analyze", obs.Int("idx", i))
-		results[i], errs[i] = p.AnalyzeSpanned(traces[i], sp)
-		sp.End()
-	})
-	for i, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("analysis: trace %d: %w", i, err)
-		}
-	}
-	return results, nil
-}
-
 // Analyze is the one-shot convenience form of Pipeline.Analyze.
 func Analyze(tr *trace.Trace, opts Options) (*Result, error) {
 	return New(opts).Analyze(tr)
@@ -328,8 +243,8 @@ func Analyze(tr *trace.Trace, opts Options) (*Result, error) {
 
 // ForEach calls fn(i) for every i in [0, n) from up to `workers`
 // concurrent goroutines (0 = GOMAXPROCS) and waits for all calls to
-// finish. It is the bounded batch primitive shared by AnalyzeAll, the
-// report harness, and the CLIs; fn must handle its own
+// finish. It is the bounded pool shared by the report harness and the
+// CLIs, which drive one Pipeline with it; fn must handle its own
 // synchronization for any shared state beyond its own index.
 func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {

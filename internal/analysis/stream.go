@@ -62,10 +62,9 @@ type StreamAnalyzer struct {
 }
 
 // newStream returns a StreamAnalyzer over a header trace (task and
-// name tables), resolving the static result under sp as newAnalyzer
-// does.
-func (p *Pipeline) newStream(hdr *trace.Trace, sp *obs.Span) *StreamAnalyzer {
-	return &StreamAnalyzer{a: p.newAnalyzer(hdr, sp), val: trace.NewValidator(hdr)}
+// name tables).
+func (p *Pipeline) newStream(hdr *trace.Trace) *StreamAnalyzer {
+	return &StreamAnalyzer{a: p.newAnalyzer(hdr), val: trace.NewValidator(hdr)}
 }
 
 // consume validates one entry and advances every pass by it. Entries
@@ -115,7 +114,7 @@ func (sa *StreamAnalyzer) FinishSpanned(sp *obs.Span) (*Result, error) {
 // never copied.
 func (p *Pipeline) Ingest(dec *trace.StreamDecoder, sp *obs.Span) (*StreamAnalyzer, error) {
 	tr := dec.Header()
-	sa := p.newStream(tr, sp)
+	sa := p.newStream(tr)
 	retain := p.opts.Evidence || p.opts.Naive
 	if retain {
 		tr.Entries = make([]trace.Entry, 0, min(dec.Len(), 1<<20))

@@ -191,7 +191,7 @@ func TestStreamMatchesBatchErrors(t *testing.T) {
 func TestStreamConsumeScalarAllocFree(t *testing.T) {
 	hdr := trace.New()
 	hdr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"}
-	sa := New(Options{}).newStream(hdr, nil)
+	sa := New(Options{}).newStream(hdr)
 	if err := sa.consume(&trace.Entry{Task: 1, Op: trace.OpBegin}); err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,13 @@ import (
 // visible (via -debug-addr /metrics or the -metrics table) while it
 // runs — end-of-run Stats structs only aggregate after the fact.
 var (
-	cCandidates     = obs.NewCounter("detect_candidates_total")
-	cFilteredOrder  = obs.NewCounter("detect_filtered_ordered_total")
-	cFilteredLocks  = obs.NewCounter("detect_filtered_lockset_total")
-	cFilteredAlloc  = obs.NewCounter("detect_filtered_intra_alloc_total")
-	cFilteredGuard  = obs.NewCounter("detect_filtered_ifguard_total")
-	cFilteredStatic = obs.NewCounter("detect_filtered_static_guard_total")
-	cDuplicates     = obs.NewCounter("detect_duplicates_total")
-	cRacesReported  = obs.NewCounter("detect_races_reported_total")
+	cCandidates    = obs.NewCounter("detect_candidates_total")
+	cFilteredOrder = obs.NewCounter("detect_filtered_ordered_total")
+	cFilteredLocks = obs.NewCounter("detect_filtered_lockset_total")
+	cFilteredAlloc = obs.NewCounter("detect_filtered_intra_alloc_total")
+	cFilteredGuard = obs.NewCounter("detect_filtered_ifguard_total")
+	cDuplicates    = obs.NewCounter("detect_duplicates_total")
+	cRacesReported = obs.NewCounter("detect_races_reported_total")
 )
 
 // Class categorizes a reported race per Table 1.
@@ -119,7 +118,6 @@ const (
 	PruneLockset
 	PruneIntraAlloc
 	PruneIfGuard
-	PruneStaticGuard
 	PruneDedup
 	numPruneStages
 )
@@ -137,8 +135,6 @@ func (s PruneStage) String() string {
 		return "intra-alloc"
 	case PruneIfGuard:
 		return "if-guard"
-	case PruneStaticGuard:
-		return "static-guard"
 	case PruneDedup:
 		return "dedup"
 	default:
@@ -202,7 +198,6 @@ type Stats struct {
 	FilteredLockset     int
 	FilteredIfGuard     int
 	FilteredIntraAlloc  int
-	FilteredStaticGuard int // pruned by the static if-guard classification
 	Duplicates          int
 }
 
@@ -219,7 +214,6 @@ func (s *Stats) Add(other Stats) {
 	s.FilteredLockset += other.FilteredLockset
 	s.FilteredIfGuard += other.FilteredIfGuard
 	s.FilteredIntraAlloc += other.FilteredIntraAlloc
-	s.FilteredStaticGuard += other.FilteredStaticGuard
 	s.Duplicates += other.Duplicates
 }
 
@@ -247,13 +241,6 @@ type Input struct {
 	// positives. It requires the application's bytecode and is
 	// therefore optional.
 	DerefSources map[dataflow.Key]dataflow.Source
-	// StaticGuards, when non-nil, marks dereference sites covered by
-	// a static null-test (internal/static's Figure 6 on the CFG).
-	// Uses at marked sites are pruned like dynamically-guarded ones —
-	// the static pass catches guards the trace-window matching misses
-	// (e.g. when an aliased read evicts the tested pointer's last
-	// read). Plain data keeps detect independent of internal/static.
-	StaticGuards map[dataflow.Key]bool
 	// Collector, when non-nil, receives per-decision provenance
 	// callbacks (internal/provenance implements it). Nil keeps the
 	// candidate loop counter-only.
@@ -360,14 +347,6 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 						continue
 					}
 				}
-				if !opts.DisableIfGuard && in.StaticGuards != nil &&
-					in.StaticGuards[dataflow.Key{Method: u.Method, PC: u.DerefPC}] {
-					res.Stats.FilteredStaticGuard++
-					if col != nil {
-						col.Pruned(u, f, PruneWitness{Stage: PruneStaticGuard})
-					}
-					continue
-				}
 			}
 			r := Race{Use: u, Free: f}
 			if sameLooper {
@@ -409,7 +388,6 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 	cFilteredLocks.Add(int64(res.Stats.FilteredLockset))
 	cFilteredAlloc.Add(int64(res.Stats.FilteredIntraAlloc))
 	cFilteredGuard.Add(int64(res.Stats.FilteredIfGuard))
-	cFilteredStatic.Add(int64(res.Stats.FilteredStaticGuard))
 	cDuplicates.Add(int64(res.Stats.Duplicates))
 	cRacesReported.Add(int64(len(res.Races)))
 	return res, nil

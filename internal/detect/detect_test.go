@@ -562,12 +562,12 @@ func TestCountByClass(t *testing.T) {
 	}
 }
 
-// aliasEvictSrc is the case the static if-guard pass exists for: the
-// tested pointer's last read is evicted by an aliased read of the
-// same object between the branch and the dereference, so the dynamic
+// aliasEvictSrc hides a guard from the dynamic heuristic: the tested
+// pointer's last read is evicted by an aliased read of the same
+// object between the branch and the dereference, so the dynamic
 // window matching binds the use to aliasQ but the guard to ptrQ and
 // fails to prune. Statically the deref register chains to the ptrQ
-// load the branch tests, inside the Figure 6 region.
+// load the branch tests.
 const aliasEvictSrc = `
 .method sink(o) regs=1
     return-void
@@ -627,21 +627,20 @@ func buildAliasEvict(t *testing.T) func(s *sim.System, p *dvm.Program) {
 	}
 }
 
-// TestStaticGuardPruning checks the StaticGuards input: a guarded use
-// the dynamic heuristic misses (alias eviction) is reported without
-// it, pruned with it, and kept again under DisableIfGuard (the static
-// prune rides the same ablation flag).
+// TestStaticGuardPruning checks what covers the alias-eviction guard:
+// plain dynamic matching reports the use as a race (the if-guard
+// heuristic never sees its guard), and precise use matching, which
+// binds the deref to the ptrQ load the branch tests, drops it before
+// it becomes a candidate — ptrQ itself is never freed.
 func TestStaticGuardPruning(t *testing.T) {
 	res, _ := pipeline(t, aliasEvictSrc, Options{}, buildAliasEvict(t))
 	if len(res.Races) != 1 {
-		t.Fatalf("without static guards: races = %d (%+v), want 1 (dynamic matching must miss this guard)", len(res.Races), res.Stats)
+		t.Fatalf("plain: races = %d (%+v), want 1 (dynamic matching must miss this guard)", len(res.Races), res.Stats)
 	}
 	if res.Stats.FilteredIfGuard != 0 {
 		t.Fatalf("FilteredIfGuard = %d, want 0: the dynamic heuristic should not see this guard", res.Stats.FilteredIfGuard)
 	}
-	u := res.Races[0].Use
 
-	// Re-run with the deref site statically marked guarded.
 	p, err := asm.Assemble(aliasEvictSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -656,25 +655,11 @@ func TestStaticGuardPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guards := map[dataflow.Key]bool{{Method: u.Method, PC: u.DerefPC}: true}
-	got, err := Detect(Input{Trace: col.T, Graph: g, StaticGuards: guards}, Options{})
+	got, err := Detect(Input{Trace: col.T, Graph: g, DerefSources: dataflow.DerefSources(p)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Races) != 0 {
-		t.Errorf("with static guards: races = %d, want 0", len(got.Races))
-	}
-	if got.Stats.FilteredStaticGuard != 1 {
-		t.Errorf("FilteredStaticGuard = %d, want 1", got.Stats.FilteredStaticGuard)
-	}
-
-	// DisableIfGuard must disable the static prune too.
-	got, err = Detect(Input{Trace: col.T, Graph: g, StaticGuards: guards}, Options{DisableIfGuard: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Races) != 1 || got.Stats.FilteredStaticGuard != 0 {
-		t.Errorf("DisableIfGuard: races = %d, FilteredStaticGuard = %d; want 1, 0",
-			len(got.Races), got.Stats.FilteredStaticGuard)
+	if got.Stats.Candidates != 0 || len(got.Races) != 0 {
+		t.Errorf("with DerefSources: candidates = %d, races = %d; want 0, 0", got.Stats.Candidates, len(got.Races))
 	}
 }

@@ -143,8 +143,6 @@ func (h *htmlPage) bundle(b *Bundle) {
 	h.num(s.FilteredIfGuard)
 	h.raw(" intra-alloc=")
 	h.num(s.FilteredIntraAlloc)
-	h.raw("\nstatic-guard=")
-	h.num(s.FilteredStaticGuard)
 	h.raw("\nduplicates=")
 	h.num(s.Duplicates)
 	h.raw("</p>\n")

@@ -48,7 +48,6 @@ td.mono { font-family: monospace; }
 candidates={{.Stats.Candidates}} &middot;
 filtered: ordered={{.Stats.FilteredOrdered}} lockset={{.Stats.FilteredLockset}}
 if-guard={{.Stats.FilteredIfGuard}} intra-alloc={{.Stats.FilteredIntraAlloc}}
-static-guard={{.Stats.FilteredStaticGuard}}
 duplicates={{.Stats.Duplicates}}</p>
 {{range .Inputs}}
 <h2>{{.File}}</h2>
@@ -280,7 +279,7 @@ func (f *fuzzSource) stats() detect.Stats {
 	return detect.Stats{
 		Uses: f.int(), Frees: f.int(), Allocs: f.int(), Candidates: f.int(),
 		FilteredOrdered: f.int(), FilteredLockset: f.int(), FilteredIfGuard: f.int(),
-		FilteredIntraAlloc: f.int(), FilteredStaticGuard: f.int(), Duplicates: f.int(),
+		FilteredIntraAlloc: f.int(), Duplicates: f.int(),
 	}
 }
 

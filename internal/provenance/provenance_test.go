@@ -115,12 +115,11 @@ func TestCollectorStageTalliesMatchStats(t *testing.T) {
 	res := analyzeApp(t, "ZXing", 4)
 	counts := res.Evidence.StageCounts()
 	want := map[detect.PruneStage]int{
-		detect.PruneOrdered:     res.Stats.FilteredOrdered,
-		detect.PruneLockset:     res.Stats.FilteredLockset,
-		detect.PruneIfGuard:     res.Stats.FilteredIfGuard,
-		detect.PruneIntraAlloc:  res.Stats.FilteredIntraAlloc,
-		detect.PruneStaticGuard: res.Stats.FilteredStaticGuard,
-		detect.PruneDedup:       res.Stats.Duplicates,
+		detect.PruneOrdered:    res.Stats.FilteredOrdered,
+		detect.PruneLockset:    res.Stats.FilteredLockset,
+		detect.PruneIfGuard:    res.Stats.FilteredIfGuard,
+		detect.PruneIntraAlloc: res.Stats.FilteredIntraAlloc,
+		detect.PruneDedup:      res.Stats.Duplicates,
 	}
 	for stage, n := range want {
 		if counts[stage] != n {

@@ -15,6 +15,7 @@ import (
 	"cafa/internal/detect"
 	"cafa/internal/hb"
 	"cafa/internal/sim"
+	"cafa/internal/static"
 	"cafa/internal/trace"
 )
 
@@ -63,10 +64,6 @@ type RunOptions struct {
 	// site the intra-method pass pinpoints differently, so Type III
 	// false positives disappear here too.
 	Interproc bool
-	// StaticGuards prunes uses at statically-proven guarded deref
-	// sites (the static Figure 6 pass) on top of the dynamic if-guard
-	// heuristic.
-	StaticGuards bool
 	// Workers bounds RunAll's app-level concurrency (0 = GOMAXPROCS).
 	Workers int
 }
@@ -101,13 +98,11 @@ func RunApp(spec apps.Spec, opts RunOptions) (*AppResult, error) {
 
 func analyze(tr *trace.Trace, b *apps.BuildOut, opts RunOptions) (*AppResult, error) {
 	popts := analysis.Options{Detect: opts.Detect, Naive: opts.Naive}
-	if opts.Precise {
+	switch {
+	case opts.Interproc:
+		_, popts.DerefSources = static.ResolveDerefs(static.BuildCallGraph(b.Prog))
+	case opts.Precise:
 		popts.DerefSources = dataflow.DerefSources(b.Prog)
-	}
-	if opts.Interproc || opts.StaticGuards {
-		popts.Program = b.Prog
-		popts.Interproc = opts.Interproc
-		popts.StaticGuardPrune = opts.StaticGuards
 	}
 	det, err := analysis.Analyze(tr, popts)
 	if err != nil {

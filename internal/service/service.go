@@ -89,9 +89,8 @@ type Config struct {
 	// for confirm replays (default 100, as cafa-bench -validate).
 	ReplayScale int
 	// Analysis carries the pipeline configuration. Evidence is forced
-	// on (the service always serves evidence bundles); Workers is
-	// ignored (per-job passes already fan out, job-level concurrency
-	// is the pool's).
+	// on (the service always serves evidence bundles); job-level
+	// concurrency is the pool's (Workers above).
 	Analysis analysis.Options
 }
 
@@ -119,14 +118,14 @@ func (c *Config) defaults() {
 
 // fingerprint renders the cache-relevant configuration: every switch
 // that changes the served bytes, plus the evidence schema version so
-// schema bumps invalidate stale entries. Program-dependent options
-// (Interproc, StaticGuardPrune, DerefSources) are keyed by presence —
-// the service runs one program configuration for its lifetime.
+// schema bumps invalidate stale entries. DerefSources is keyed by
+// presence — the service runs one program configuration for its
+// lifetime.
 func fingerprint(o analysis.Options) string {
-	return fmt.Sprintf("v1|bundle%d|ifguard=%t|intraalloc=%t|lockset=%t|dups=%t|naive=%t|interproc=%t|staticguard=%t|derefs=%t",
+	return fmt.Sprintf("v1|bundle%d|ifguard=%t|intraalloc=%t|lockset=%t|dups=%t|naive=%t|derefs=%t",
 		provenance.BundleVersion,
 		!o.Detect.DisableIfGuard, !o.Detect.DisableIntraEventAlloc, !o.Detect.DisableLockset,
-		o.Detect.KeepDuplicates, o.Naive, o.Interproc, o.StaticGuardPrune, o.DerefSources != nil)
+		o.Detect.KeepDuplicates, o.Naive, o.DerefSources != nil)
 }
 
 // Server is the job manager plus its HTTP surface (it implements

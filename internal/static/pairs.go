@@ -130,8 +130,8 @@ type Verdict uint8
 // Verdicts, in annotation precedence order.
 const (
 	// VerdictStaticallyGuarded: the race's dereference is covered by a
-	// static null test — the dynamic heuristics should have pruned it,
-	// and enabling static guard pruning will.
+	// static null test — the dynamic if-guard heuristic should have
+	// pruned it.
 	VerdictStaticallyGuarded Verdict = iota
 	// VerdictAllocSafe: the race's load is allocation-dominated — a
 	// static intra-event-allocation witness.

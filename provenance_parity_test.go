@@ -7,13 +7,7 @@ import (
 
 	"cafa/internal/analysis"
 	"cafa/internal/apps"
-	"cafa/internal/asm"
-	"cafa/internal/dataflow"
 	"cafa/internal/detect"
-	"cafa/internal/dvm"
-	"cafa/internal/hb"
-	"cafa/internal/provenance"
-	"cafa/internal/sim"
 	"cafa/internal/trace"
 )
 
@@ -28,14 +22,8 @@ const evidenceOverheadThreshold = 1.10
 // with and without evidence collection attached.
 func TestEvidenceDoesNotChangeResults(t *testing.T) {
 	traces := suiteTraces(t)
-	off, err := analysis.New(analysis.Options{}).AnalyzeAll(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := analysis.New(analysis.Options{Evidence: true}).AnalyzeAll(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := analyzeSuite(t, analysis.New(analysis.Options{}), traces)
+	on := analyzeSuite(t, analysis.New(analysis.Options{Evidence: true}), traces)
 	type outcome struct {
 		Races []detect.Race
 		Stats detect.Stats
@@ -87,18 +75,9 @@ func evidenceGate(tb testing.TB, traces []*trace.Trace) overheadGate {
 
 // TestEvidenceAllStagesWitnessed checks that the ten-app suite's
 // evidence bundles carry at least one retained witness for every
-// dynamic prune stage. The static-guard stage is the one exception:
-// on the suite the dynamic if-guard heuristic always matches first
-// (the static prune is its backstop for dynamically-missed guards),
-// so its witness is asserted on a dedicated alias-eviction fixture
-// with the deref site statically marked, the same shape
-// internal/detect uses to test the prune itself.
+// prune stage the detector has.
 func TestEvidenceAllStagesWitnessed(t *testing.T) {
-	traces := suiteTraces(t)
-	results, err := analysis.New(analysis.Options{Evidence: true}).AnalyzeAll(traces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := analyzeSuite(t, analysis.New(analysis.Options{Evidence: true}), suiteTraces(t))
 	var union [detect.NumPruneStages]int
 	retained := map[detect.PruneStage]bool{}
 	for i, res := range results {
@@ -115,10 +94,7 @@ func TestEvidenceAllStagesWitnessed(t *testing.T) {
 			}
 		}
 	}
-	for _, stage := range []detect.PruneStage{
-		detect.PruneOrdered, detect.PruneLockset, detect.PruneIfGuard,
-		detect.PruneIntraAlloc, detect.PruneDedup,
-	} {
+	for stage := detect.PruneStage(0); int(stage) < detect.NumPruneStages; stage++ {
 		if union[stage] == 0 {
 			t.Errorf("suite produced no %v prunes at all", stage)
 		}
@@ -126,115 +102,18 @@ func TestEvidenceAllStagesWitnessed(t *testing.T) {
 			t.Errorf("suite bundles retain no %v witness", stage)
 		}
 	}
-
-	t.Run("static-guard", func(t *testing.T) {
-		w := staticGuardWitness(t)
-		if w.W.Stage != detect.PruneStaticGuard {
-			t.Fatalf("witness stage = %v, want static-guard", w.W.Stage)
-		}
-	})
 }
 
-// staticGuardSrc is a minimal same-looper use/free pair with no
-// dynamic null test: two sender threads post the events, so they are
-// concurrent, and only a static guard annotation can prune the use.
-const staticGuardSrc = `
-.method run(this) regs=1
-    return-void
-.end
-
-.method use(h) regs=3
-    iget v1, h, ptr
-    invoke-virtual run, v1
-    return-void
-.end
-
-.method free(h) regs=2
-    const-null v1
-    iput v1, h, ptr
-    return-void
-.end
-
-.method sendUse(h) regs=5
-    sget-int v1, mainQ
-    const-method v2, use
-    const-int v3, #0
-    send v1, v2, v3, h
-    return-void
-.end
-
-.method sendFree(h) regs=5
-    const-int v3, #20
-    sleep v3
-    sget-int v1, mainQ
-    const-method v2, free
-    const-int v3, #0
-    send v1, v2, v3, h
-    return-void
-.end
-`
-
-// staticGuardWitness runs the fixture twice: once to locate the
-// reported use site, once with that site in StaticGuards and a
-// provenance collector attached, returning the static-guard prune
-// record.
-func staticGuardWitness(t *testing.T) provenance.Pruned {
-	t.Helper()
-	prog, err := asm.Assemble(staticGuardSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	record := func() (*trace.Trace, *hb.Graph) {
-		col := trace.NewCollector()
-		s := sim.NewSystem(prog, sim.Config{Tracer: col, Seed: 1})
-		main := s.AddLooper("main", 0)
-		s.Heap().SetStatic(prog.FieldID("mainQ"), dvm.Int64(main.Handle()))
-		h := s.Heap().New("Activity")
-		pay := s.Heap().New("Payload")
-		h.Set(prog.FieldID("ptr"), dvm.Obj(pay.ID))
-		if _, err := s.StartThread("su", "sendUse", dvm.Obj(h.ID)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.StartThread("sf", "sendFree", dvm.Obj(h.ID)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		g, err := hb.Build(col.T, hb.Options{})
+// analyzeSuite runs p over every trace in order.
+func analyzeSuite(tb testing.TB, p *analysis.Pipeline, traces []*trace.Trace) []*analysis.Result {
+	tb.Helper()
+	out := make([]*analysis.Result, len(traces))
+	for i, tr := range traces {
+		res, err := p.Analyze(tr)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatalf("trace %d: %v", i, err)
 		}
-		return col.T, g
+		out[i] = res
 	}
-
-	tr, g := record()
-	res, err := detect.Detect(detect.Input{Trace: tr, Graph: g}, detect.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Races) != 1 {
-		t.Fatalf("fixture races = %d, want 1 (no dynamic guard should match)", len(res.Races))
-	}
-	u := res.Races[0].Use
-
-	col := provenance.NewCollector(tr, g, nil, nil, provenance.Options{})
-	guards := map[dataflow.Key]bool{{Method: u.Method, PC: u.DerefPC}: true}
-	res, err = detect.Detect(detect.Input{
-		Trace: tr, Graph: g, StaticGuards: guards, Collector: col,
-	}, detect.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Races) != 0 || res.Stats.FilteredStaticGuard != 1 {
-		t.Fatalf("static guard did not prune: races=%d FilteredStaticGuard=%d",
-			len(res.Races), res.Stats.FilteredStaticGuard)
-	}
-	for _, p := range col.PrunedRecords() {
-		if p.W.Stage == detect.PruneStaticGuard {
-			return p
-		}
-	}
-	t.Fatal("collector retained no static-guard witness")
-	return provenance.Pruned{}
+	return out
 }
