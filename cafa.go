@@ -168,7 +168,9 @@ type AnalyzeOptions struct {
 }
 
 // Analyze runs the full offline pipeline on a trace: both causality
-// models, lock sets, and the use-free race detector.
+// models, lock sets, and the use-free race detector. The trace is
+// validated in the same sweep; an ill-formed one returns its first
+// structural fault in trace order (the checks of Trace.Validate).
 func Analyze(tr *Trace, opts AnalyzeOptions) (*Report, error) {
 	res, err := analysis.Analyze(tr, analysis.Options{Detect: opts.Detect, Naive: opts.Naive})
 	if err != nil {

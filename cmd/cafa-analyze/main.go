@@ -428,7 +428,7 @@ func streamTrace(p *analysis.Pipeline, path string, sp *obs.Span) (*analysis.Res
 		return nil, &inputError{path: path, class: classIO, err: err}
 	}
 	defer f.Close()
-	res, err := p.AnalyzeStreamSpanned(f, sp)
+	res, err := p.AnalyzeStream(f, sp)
 	if err != nil {
 		return nil, &inputError{path: path, class: classDecode, err: err}
 	}

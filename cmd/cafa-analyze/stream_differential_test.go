@@ -48,7 +48,7 @@ func writeSynthFixtures(t *testing.T, dir string) []string {
 
 // batchOutput renders what cafa-analyze prints for args (report
 // flags only: text, -stats, -context, -json) from reports built the
-// in-memory way: DecodeAuto, Validate, then batch analysis.Analyze.
+// in-memory way: DecodeAuto, then analysis.Analyze.
 func batchOutput(t *testing.T, args []string) []byte {
 	t.Helper()
 	cfg, err := parseArgs(args)
@@ -63,9 +63,6 @@ func batchOutput(t *testing.T, args []string) []byte {
 		}
 		tr, err := trace.DecodeAuto(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		res, err := analysis.Analyze(tr, analysis.Options{})

@@ -196,37 +196,39 @@ func lintApp(cfg *config, spec apps.Spec) (*appLint, error) {
 	}
 	l := &appLint{spec: spec, b: b, st: static.AnalyzeOpts(b.Prog, stOpts)}
 
+	var res *analysis.Result
 	switch {
 	case cfg.dynamic:
 		if err := b.Sys.Run(); err != nil {
 			return nil, err
 		}
-		l.tr = col.T
+		res, err = analysis.Analyze(col.T, analysis.Options{})
 	case cfg.traceFile != "":
-		f, err := os.Open(cfg.traceFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		tr, err := trace.DecodeAuto(f)
-		if err != nil {
-			return nil, fmt.Errorf("decode %s: %w", cfg.traceFile, err)
-		}
-		if err := tr.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.traceFile, err)
-		}
-		l.tr = tr
+		res, err = analyzeFile(cfg.traceFile)
 	default:
 		return l, nil
 	}
-
-	res, err := analysis.Analyze(l.tr, analysis.Options{})
 	if err != nil {
 		return nil, err
 	}
-	l.res = res
+	l.tr, l.res = res.Trace, res
 	l.checked, l.gaps = static.CrossCheck(l.st.Pairs, res.Races, l.st.Orders)
 	return l, nil
+}
+
+// analyzeFile analyzes a recorded trace the way cafa-analyze reads
+// one: decode, validation and the per-entry passes in one sweep.
+func analyzeFile(path string) (*analysis.Result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	res, err := analysis.New(analysis.Options{}).AnalyzeStream(f, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return res, nil
 }
 
 // methodName resolves a method name through the program (static-only

@@ -1,16 +1,19 @@
-// Package analysis orchestrates CAFA's offline half. One driver
-// serves both entry points: every pass is a per-entry consumer —
-// hb.Scanner, lockset.Tracker and detect.Extractor — and one forward
-// sweep feeds each entry through all of them. Ingest (stream.go)
-// sweeps trace bytes as they are decoded and validated — the path
-// both front ends take; Analyze sweeps a trace already in memory
-// (simulator output, the cafa façade). The shared finish step then
-// builds the event-driven causality model (a fixpoint over adaptive
-// closure rows) and the conventional one (its adjacency alone) in
-// sequence over the scanned frontier, and runs the use-free detector,
-// which projects the conventional closure onto the candidates it
-// classifies. One Pipeline may analyze many traces concurrently;
-// ForEach is the bounded pool the front ends drive it with.
+// Package analysis orchestrates CAFA's offline half as one forward
+// sweep per trace. Every pass is a per-entry consumer — the
+// structural trace.Validator, hb.Scanner, lockset.Tracker and
+// detect.Extractor — and Ingest (stream.go) feeds each entry of a
+// Source through all of them in trace order, so the first fault in
+// trace order is the one reported. A Source is a stream decoder over
+// trace bytes (AnalyzeStream: cafa-analyze, cafa-lint -trace;
+// cafa-serve calls Ingest itself) or a trace already in memory
+// (Analyze: simulator output, the cafa façade); either way the trace
+// is validated. The finish step then builds the event-driven
+// causality model (a fixpoint over adaptive closure rows) and the
+// conventional one (its adjacency alone) in sequence over the scanned
+// frontier, and runs the use-free detector, which projects the
+// conventional closure onto the candidates it classifies. One
+// Pipeline may analyze many traces concurrently; ForEach is the
+// bounded pool the front ends drive it with.
 package analysis
 
 import (
@@ -28,12 +31,11 @@ import (
 
 // Pipeline observability (internal/obs). Each analyzed trace gets a
 // span tree: the per-trace span (one track — concurrent traces show
-// up as parallel tracks) with a serial ingest child (the per-entry
-// sweep: "stream.ingest" over trace bytes, "ingest" over an in-memory
-// trace), a serial prescan child (base edges and anchor index), one
-// serial child per causality model ("hb.graph", "hb.conventional"),
-// and a serial detect child. Counters track traces analyzed and
-// failed.
+// up as parallel tracks) with a serial "stream.ingest" child (the
+// per-entry sweep), a serial prescan child (base edges and anchor
+// index), one serial child per causality model ("hb.graph",
+// "hb.conventional"), and a serial detect child. Counters track
+// traces analyzed and failed.
 var (
 	cTracesAnalyzed = obs.NewCounter("analysis_traces_analyzed_total")
 	cTraceErrors    = obs.NewCounter("analysis_trace_errors_total")
@@ -91,9 +93,9 @@ type Result struct {
 	Stacks map[int][]trace.MethodID
 }
 
-// Pipeline is a reusable analyzer. The zero value is ready to use;
-// New applies Options. A Pipeline holds no per-trace state, so one
-// may analyze many traces concurrently.
+// Pipeline is a reusable analysis configuration. The zero value is
+// ready to use; New applies Options. A Pipeline holds no per-trace
+// state, so one may analyze many traces concurrently.
 type Pipeline struct {
 	opts Options
 }
@@ -103,66 +105,47 @@ func New(opts Options) *Pipeline {
 	return &Pipeline{opts: opts}
 }
 
-// Analyze runs the full offline pipeline on one trace: one sweep
-// feeds every entry to the per-entry passes, then the two causality
-// models are built and the detector runs over them. The
-// trace is not validated here; it is for traces already in memory.
-// Trace bytes go through AnalyzeStream, which validates as it
-// decodes.
+// Analyze runs the full offline pipeline on a trace already in
+// memory: one sweep validates every entry and feeds it to the
+// per-entry passes, then the two causality models are built and the
+// detector runs over them. An invalid trace returns its first
+// structural fault.
 func (p *Pipeline) Analyze(tr *trace.Trace) (*Result, error) {
 	sp := obs.Start("pipeline.analyze")
 	defer sp.End()
-	return p.AnalyzeSpanned(tr, sp)
+	return p.analyze(&entries{tr: tr}, sp)
 }
 
-// AnalyzeSpanned is Analyze under a caller-owned obs span (nil is
-// fine): per-pass sub-spans attach to it and it gains a "races"
-// attribute on success (the finish step sets it, so a streamed
-// FinishSpanned does too), so callers that label per-trace spans see
-// the detector outcome on the span itself. The caller Ends sp.
-func (p *Pipeline) AnalyzeSpanned(tr *trace.Trace, sp *obs.Span) (*Result, error) {
-	a := p.newAnalyzer(tr)
-	spIn := sp.Child("ingest")
-	for i := range tr.Entries {
-		if err := a.consume(&tr.Entries[i]); err != nil {
-			spIn.End()
-			cTraceErrors.Inc()
-			return nil, err
-		}
+// analyze is Ingest over src followed by the finish step.
+func (p *Pipeline) analyze(src Source, sp *obs.Span) (*Result, error) {
+	a, err := p.Ingest(src, sp)
+	if err != nil {
+		return nil, err
 	}
-	spIn.End()
-	return a.finish(sp)
+	return a.Finish(sp)
 }
 
-// analyzer is the one analysis driver behind Analyze and
-// StreamAnalyzer: the per-entry passes, advanced together by consume,
-// and the finish step that joins them into a Result.
-type analyzer struct {
+// Analyzer is one trace's analysis between Ingest and Finish: the
+// structural validator and the per-entry passes, advanced together by
+// consume, and the finish step that joins them into a Result.
+type Analyzer struct {
 	opts *Options
 	tr   *trace.Trace
 
+	val     *trace.Validator
 	scanner *hb.Scanner
 	locks   *lockset.Tracker
 	ext     *detect.Extractor
 	n       int // entries consumed
 }
 
-// newAnalyzer returns an analyzer over tr, which supplies the task and
-// name tables (its Entries may be empty, as for a stream header).
-func (p *Pipeline) newAnalyzer(tr *trace.Trace) *analyzer {
-	return &analyzer{
-		opts:    &p.opts,
-		tr:      tr,
-		scanner: hb.NewScanner(tr),
-		locks:   lockset.NewTracker(),
-		ext:     detect.NewExtractor(p.opts.DerefSources),
+// consume validates one entry and advances every pass by it. Entries
+// must arrive in trace order, so the first fault in trace order is
+// the one reported; *e is not retained.
+func (a *Analyzer) consume(e *trace.Entry) error {
+	if err := a.val.Entry(e); err != nil {
+		return err
 	}
-}
-
-// consume advances every pass by one entry, in trace order, so the
-// first fault in trace order is the one reported. The entry is not
-// retained.
-func (a *analyzer) consume(e *trace.Entry) error {
 	if err := a.scanner.Consume(e); err != nil {
 		return err
 	}
@@ -171,12 +154,19 @@ func (a *analyzer) consume(e *trace.Entry) error {
 	}
 	a.ext.Consume(a.n, e)
 	a.n++
+	if a.n%windowSampleEvery == 0 {
+		gStreamWindow.Set(int64(a.ext.Live()))
+	}
 	return nil
 }
 
-// finish seals the scan, builds both causality models, and runs the
-// detector over the extraction.
-func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
+// Finish seals the scan, builds both causality models, and runs the
+// detector over the extraction, under a caller-owned span (nil is
+// fine): per-pass sub-spans attach to it, and it gains a "races"
+// attribute on success, so callers that label per-trace spans see the
+// detector outcome on the span itself. The caller Ends sp.
+func (a *Analyzer) Finish(sp *obs.Span) (*Result, error) {
+	gStreamWindow.Set(int64(a.ext.Live()))
 	opts := a.opts
 	spScan := sp.Child("hb.prescan")
 	ps := a.scanner.Finish()
@@ -232,6 +222,7 @@ func (a *analyzer) finish(sp *obs.Span) (*Result, error) {
 		spN.End()
 	}
 	cTracesAnalyzed.Inc()
+	cEntries.Add(int64(a.n))
 	sp.SetAttr(obs.Int("races", len(out.Races)))
 	return out, nil
 }

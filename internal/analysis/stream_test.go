@@ -35,7 +35,7 @@ func assertStreamMatchesBatch(t *testing.T, tr *trace.Trace, opts Options) {
 	bin, txt := encodeBoth(t, tr)
 	for name, enc := range map[string][]byte{"binary": bin, "text": txt} {
 		p := New(opts)
-		got, err := p.AnalyzeStream(bytes.NewReader(enc))
+		got, err := p.AnalyzeStream(bytes.NewReader(enc), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -102,7 +102,7 @@ func TestStreamRetainsForEvidenceAndNaive(t *testing.T) {
 	tr := synth.Trace(synth.Config{Chain: 3, EventsPer: 4, FreeThreads: 3})
 	bin, _ := encodeBoth(t, tr)
 	for _, opts := range []Options{{Naive: true}, {Evidence: true}, {}} {
-		got, err := New(opts).AnalyzeStream(bytes.NewReader(bin))
+		got, err := New(opts).AnalyzeStream(bytes.NewReader(bin), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,39 +147,70 @@ func TestStreamTruncationDetected(t *testing.T) {
 	bin, txt := encodeBoth(t, tr)
 	for name, enc := range map[string][]byte{"binary": bin, "text": txt} {
 		cut := enc[:len(enc)-len(enc)/8]
-		if _, err := New(Options{}).AnalyzeStream(bytes.NewReader(cut)); err == nil {
+		if _, err := New(Options{}).AnalyzeStream(bytes.NewReader(cut), nil); err == nil {
 			t.Errorf("%s: want error for truncated stream", name)
 		}
 	}
 }
 
-// TestStreamMatchesBatchErrors: batch and streaming analysis report
-// the same error for a malformed trace — the first fault in trace
-// order. Here a lockset double acquire at entry 2 precedes a duplicate
-// begin, so both must name the lockset fault, not the later hb one.
+// TestStreamMatchesBatchErrors: Analyze and AnalyzeStream over both
+// encodings report the same error for a malformed trace — the first
+// fault in trace order. In the first case a lockset double acquire at
+// entry 2 precedes a duplicate begin, so all must name the lockset
+// fault, not the later hb one. The others are faults only the
+// validator catches, so every path must run it.
 func TestStreamMatchesBatchErrors(t *testing.T) {
-	tr := trace.New()
-	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
-	for i, e := range []trace.Entry{
-		{Task: 1, Op: trace.OpBegin},
-		{Task: 1, Op: trace.OpLock, Lock: 5},
-		{Task: 1, Op: trace.OpLock, Lock: 5},
-		{Task: 1, Op: trace.OpBegin},
-		{Task: 1, Op: trace.OpUnlock, Lock: 5},
-		{Task: 1, Op: trace.OpEnd},
+	for _, tc := range []struct {
+		name    string
+		entries []trace.Entry
+		want    string
+	}{
+		{
+			name: "lockset before hb",
+			entries: []trace.Entry{
+				{Task: 1, Op: trace.OpBegin},
+				{Task: 1, Op: trace.OpLock, Lock: 5, Time: 1},
+				{Task: 1, Op: trace.OpLock, Lock: 5, Time: 2},
+				{Task: 1, Op: trace.OpBegin, Time: 3},
+				{Task: 1, Op: trace.OpUnlock, Lock: 5, Time: 4},
+				{Task: 1, Op: trace.OpEnd, Time: 5},
+			},
+			want: "lockset: entry 2: lock l5 acquired twice by t1",
+		},
+		{
+			name: "time goes backwards",
+			entries: []trace.Entry{
+				{Task: 1, Op: trace.OpBegin, Time: 5},
+				{Task: 1, Op: trace.OpRead, Var: 3, Time: 4},
+				{Task: 1, Op: trace.OpEnd, Time: 6},
+			},
+			want: "trace: entry 1 (rd(t1, x3) @4): time goes backwards (4 < 5)",
+		},
+		{
+			name: "undeclared task",
+			entries: []trace.Entry{
+				{Task: 1, Op: trace.OpBegin},
+				{Task: 1, Op: trace.OpEnd, Time: 1},
+				{Task: 2, Op: trace.OpBegin, Time: 2},
+				{Task: 2, Op: trace.OpEnd, Time: 3},
+			},
+			want: "trace: entry 2 (begin(t2) @2): task t2 not declared",
+		},
 	} {
-		e.Time = int64(i)
-		tr.Append(e)
-	}
-	const want = "lockset: entry 2: lock l5 acquired twice by t1"
-	if _, err := Analyze(tr, Options{}); err == nil || err.Error() != want {
-		t.Errorf("batch: err = %v, want %q", err, want)
-	}
-	bin, txt := encodeBoth(t, tr)
-	for name, enc := range map[string][]byte{"binary": bin, "text": txt} {
-		if _, err := New(Options{}).AnalyzeStream(bytes.NewReader(enc)); err == nil || err.Error() != want {
-			t.Errorf("%s stream: err = %v, want %q", name, err, want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			tr := trace.New()
+			tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+			tr.Entries = tc.entries
+			if _, err := Analyze(tr, Options{}); err == nil || err.Error() != tc.want {
+				t.Errorf("in memory: err = %v, want %q", err, tc.want)
+			}
+			bin, txt := encodeBoth(t, tr)
+			for name, enc := range map[string][]byte{"binary": bin, "text": txt} {
+				if _, err := New(Options{}).AnalyzeStream(bytes.NewReader(enc), nil); err == nil || err.Error() != tc.want {
+					t.Errorf("%s stream: err = %v, want %q", name, err, tc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -189,16 +220,17 @@ func TestStreamMatchesBatchErrors(t *testing.T) {
 // through an error path) costs heap proportional to the
 // stream, not to the retained frontier.
 func TestStreamConsumeScalarAllocFree(t *testing.T) {
-	hdr := trace.New()
-	hdr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"}
-	sa := New(Options{}).newStream(hdr)
-	if err := sa.consume(&trace.Entry{Task: 1, Op: trace.OpBegin}); err != nil {
+	tr := trace.New()
+	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"}
+	tr.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
+	a, err := New(Options{}).Ingest(&entries{tr: tr}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var consumeErr error
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, op := range []trace.Op{trace.OpRead, trace.OpWrite} {
-			if err := sa.consume(&trace.Entry{Task: 1, Op: op, Var: 3}); err != nil {
+			if err := a.consume(&trace.Entry{Task: 1, Op: op, Var: 3}); err != nil {
 				consumeErr = err
 			}
 		}

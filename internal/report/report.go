@@ -84,13 +84,9 @@ func RunApp(spec apps.Spec, opts RunOptions) (*AppResult, error) {
 	if err := b.Sys.Run(); err != nil {
 		return nil, fmt.Errorf("report: %s: %w", spec.Name, err)
 	}
-	tr := col.T
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("report: %s: invalid trace: %w", spec.Name, err)
-	}
-	res, err := analyze(tr, b, opts)
+	res, err := analyze(col.T, b, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("report: %s: %w", spec.Name, err)
 	}
 	res.Crashes = len(b.Sys.Crashes())
 	return res, nil

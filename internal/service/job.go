@@ -23,10 +23,10 @@ type job struct {
 	progress string
 	errMsg   string
 
-	// stream holds the ingested per-entry analysis between accept and
-	// the worker's finish step; the worker drops it once artifacts
-	// exist so finished jobs retain only their rendered outputs.
-	stream *analysis.StreamAnalyzer
+	// ingested holds the per-entry analysis between accept and the
+	// worker's finish step; the worker drops it once artifacts exist
+	// so finished jobs retain only their rendered outputs.
+	ingested *analysis.Analyzer
 
 	// art is the rendered result (owned by the cache on hits). The
 	// confirm step stores its annotated evidence separately in

@@ -314,7 +314,7 @@ func (s *Server) runJob(j *job) {
 		s.persist(j, o.art)
 		s.setState(j, api.StateDone, func() {
 			j.art = o.art
-			j.stream = nil
+			j.ingested = nil
 			j.progress = ""
 		})
 		cJobsCompleted.Inc()
@@ -327,7 +327,7 @@ func (s *Server) runJob(j *job) {
 func (s *Server) failJob(j *job, err error) {
 	s.setState(j, api.StateFailed, func() {
 		j.errMsg = err.Error()
-		j.stream = nil
+		j.ingested = nil
 		j.progress = ""
 	})
 	cJobsFailed.Inc()
@@ -344,7 +344,7 @@ func (s *Server) analyze(j *job) (*artifacts, error) {
 		s.testHookAnalyze(j)
 	}
 	s.stage(j, "analyze")
-	res, err := j.stream.FinishSpanned(sp)
+	res, err := j.ingested.Finish(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -434,11 +434,11 @@ func (s *Server) persistConfirm(j *job) {
 	}
 }
 
-// submit is the accept path: cache lookup by content, then one
-// ingest sweep that decodes, validates and runs the per-entry
-// analysis passes, then a non-blocking enqueue of the finish step. It
-// returns the registered job and whether it was answered from the
-// cache; errors carry an HTTP status.
+// submit is the accept path: cache lookup by content, a queue-full
+// check, then one ingest sweep that decodes, validates and runs the
+// per-entry analysis passes, then a non-blocking enqueue of the
+// finish step. It returns the registered job and whether it was
+// answered from the cache; errors carry an HTTP status.
 func (s *Server) submit(raw []byte, name, app, sha string) (*job, bool, *httpError) {
 	key := sha + "|" + s.fp
 	if art, ok := s.cache.get(key); ok {
@@ -456,11 +456,17 @@ func (s *Server) submit(raw []byte, name, app, sha string) (*job, bool, *httpErr
 		return j, true, nil
 	}
 	cCacheMisses.Inc()
+	// Admission: a full queue answers 429 before the upload is
+	// decoded. The non-blocking send below stays the authoritative
+	// check, since another submit may take the last slot in between.
+	if len(s.queue) == cap(s.queue) {
+		return nil, false, s.queueFull()
+	}
 	dec, err := trace.NewStreamDecoder(bytes.NewReader(raw))
 	if err != nil {
 		return nil, false, &httpError{http.StatusBadRequest, fmt.Sprintf("decode: %v", err)}
 	}
-	sa, err := s.pipeline.Ingest(dec, nil)
+	a, err := s.pipeline.Ingest(s.pipeline.Decoded(dec), nil)
 	if err != nil {
 		phase := "trace validation"
 		if errors.As(err, new(*trace.PosError)) {
@@ -472,7 +478,7 @@ func (s *Server) submit(raw []byte, name, app, sha string) (*job, bool, *httpErr
 	if rerr != nil {
 		return nil, false, &httpError{http.StatusServiceUnavailable, rerr.Error()}
 	}
-	j.stream = sa
+	j.ingested = a
 	select {
 	case s.queue <- j:
 		gQueueDepth.Set(int64(len(s.queue)))
@@ -481,10 +487,15 @@ func (s *Server) submit(raw []byte, name, app, sha string) (*job, bool, *httpErr
 		// Queue full: reject without blocking. The job record is
 		// withdrawn — a 429 submission never existed.
 		s.withdraw(j)
-		cJobsRejected.Inc()
-		return nil, false, &httpError{http.StatusTooManyRequests,
-			fmt.Sprintf("job queue full (%d queued); retry later", s.cfg.QueueDepth)}
+		return nil, false, s.queueFull()
 	}
+}
+
+// queueFull counts and returns a 429 rejection.
+func (s *Server) queueFull() *httpError {
+	cJobsRejected.Inc()
+	return &httpError{http.StatusTooManyRequests,
+		fmt.Sprintf("job queue full (%d queued); retry later", s.cfg.QueueDepth)}
 }
 
 // withdraw removes a just-registered job that could not be enqueued.

@@ -174,6 +174,26 @@ func TestStreamSubmitErrors(t *testing.T) {
 // as a job that would fail later.
 func TestSubmitRejectsPerEntryFaults(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
+	rec, _ := post(t, s, locksetFaultTrace(t), "")
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("lockset fault = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	var e api.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(e.Error, "lockset: entry 2: lock l5 acquired twice by t1") {
+		t.Errorf("message %q does not name the lockset fault", e.Error)
+	}
+	if n := len(s.statsSnapshot().JobsByState); n != 0 {
+		t.Errorf("rejected upload left %d job states behind", n)
+	}
+}
+
+// locksetFaultTrace encodes a trace whose first fault is a lockset
+// double acquire at entry 2.
+func locksetFaultTrace(t *testing.T) []byte {
+	t.Helper()
 	bad := trace.New()
 	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
 	for i, e := range []trace.Entry{
@@ -190,18 +210,31 @@ func TestSubmitRejectsPerEntryFaults(t *testing.T) {
 	if err := bad.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := post(t, s, buf.Bytes(), "")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("lockset fault = %d, want 400: %s", rec.Code, rec.Body.String())
+	return buf.Bytes()
+}
+
+// TestSubmitAdmitsBeforeIngest: with the queue full, an upload is
+// answered 429 before it is decoded, so even an upload with a
+// per-entry fault gets a 429, not the 400 its ingest would give.
+func TestSubmitAdmitsBeforeIngest(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	release := make(chan struct{})
+	held := make(chan struct{}, 1)
+	s.testHookAnalyze = func(*job) {
+		held <- struct{}{}
+		<-release
 	}
-	var e api.Error
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-		t.Fatal(err)
+	defer close(release)
+
+	if rec, _ := post(t, s, testTrace(t, 1), ""); rec.Code != http.StatusAccepted {
+		t.Fatalf("first submit = %d: %s", rec.Code, rec.Body.String())
 	}
-	if !strings.Contains(e.Error, "lockset: entry 2: lock l5 acquired twice by t1") {
-		t.Errorf("message %q does not name the lockset fault", e.Error)
+	<-held // the worker holds the first job
+	if rec, _ := post(t, s, testTrace(t, 2), ""); rec.Code != http.StatusAccepted {
+		t.Fatalf("second submit = %d: %s", rec.Code, rec.Body.String())
 	}
-	if n := len(s.statsSnapshot().JobsByState); n != 0 {
-		t.Errorf("rejected upload left %d job states behind", n)
+	rec, _ := post(t, s, locksetFaultTrace(t), "")
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("faulty upload to a full queue = %d, want 429: %s", rec.Code, rec.Body.String())
 	}
 }

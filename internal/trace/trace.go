@@ -150,7 +150,6 @@ func (tr *Trace) Validate() error {
 type Validator struct {
 	tr       *Trace
 	states   map[TaskID]*taskValState
-	created  map[TaskID]int // seq of fork/send creating the task
 	lastTime int64
 	i        int
 
@@ -162,16 +161,20 @@ type Validator struct {
 	runSt   *taskValState
 }
 
+// taskValState is one task's validation state. A fork or send
+// creates it for its target before the target's first entry.
 type taskValState struct {
 	begun, ended bool
+	// created is 1 + the seq of the fork/send creating the task, 0
+	// while none has.
+	created int
 }
 
 // NewValidator returns a Validator over the header's task table.
 func NewValidator(header *Trace) *Validator {
 	return &Validator{
-		tr:      header,
-		states:  make(map[TaskID]*taskValState),
-		created: make(map[TaskID]int),
+		tr:     header,
+		states: make(map[TaskID]*taskValState),
 	}
 }
 
@@ -232,13 +235,17 @@ func (v *Validator) Entry(e *Entry) error {
 		if e.Target == NoTask {
 			return fmt.Errorf("trace: entry %d (%s): zero target", i, e.String())
 		}
-		if tst := v.states[e.Target]; tst != nil && tst.begun {
+		tst := v.states[e.Target]
+		switch {
+		case tst == nil:
+			tst = &taskValState{}
+			v.states[e.Target] = tst
+		case tst.begun:
 			return fmt.Errorf("trace: entry %d (%s): target t%d already began", i, e.String(), e.Target)
+		case tst.created != 0:
+			return fmt.Errorf("trace: entry %d (%s): task t%d created twice (first at %d)", i, e.String(), e.Target, tst.created-1)
 		}
-		if prev, dup := v.created[e.Target]; dup {
-			return fmt.Errorf("trace: entry %d (%s): task t%d created twice (first at %d)", i, e.String(), e.Target, prev)
-		}
-		v.created[e.Target] = i
+		tst.created = i + 1
 	}
 	return nil
 }

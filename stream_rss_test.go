@@ -113,7 +113,7 @@ func TestStreamRSS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := p.AnalyzeSpanned(btr, nil)
+			res, err := p.Analyze(btr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestStreamRSS(t *testing.T) {
 		batchRes := batchHeld.(*analysis.Result)
 
 		streamB, streamHeld := retainedAfter(t, func() any {
-			res, err := p.AnalyzeStream(bytes.NewReader(raw))
+			res, err := p.AnalyzeStream(bytes.NewReader(raw), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
