@@ -46,7 +46,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"cafa/internal/analysis"
 	"cafa/internal/buildinfo"
@@ -501,12 +500,4 @@ func emitText(w io.Writer, cfg *config, reports []*report.FileReport) error {
 		}
 	}
 	return nil
-}
-
-func indent(s, prefix string) string {
-	lines := strings.Split(s, "\n")
-	for i := range lines {
-		lines[i] = prefix + lines[i]
-	}
-	return strings.Join(lines, "\n")
 }

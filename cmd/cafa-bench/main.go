@@ -292,7 +292,7 @@ func main() {
 
 // writeMetricsSnapshot dumps the accumulated pipeline metrics in
 // Prometheus text exposition format, so a bench run leaves a
-// machine-readable counter snapshot next to its BENCH_*.json output.
+// machine-readable counter snapshot.
 func writeMetricsSnapshot(path string) {
 	f, err := os.Create(path)
 	if err != nil {

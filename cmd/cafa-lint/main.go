@@ -26,8 +26,7 @@
 // Usage:
 //
 //	cafa-lint [-app name|all] [-trace file] [-dynamic] [-order=false]
-//	          [-scale N] [-seed N] [-json] [-bench] [-metrics]
-//	          [-html-out file]
+//	          [-scale N] [-seed N] [-json] [-metrics] [-html-out file]
 package main
 
 import (
@@ -66,7 +65,6 @@ type config struct {
 	scale     int
 	seed      uint64
 	asJSON    bool
-	bench     bool
 	metrics   bool
 	htmlOut   string
 }
@@ -81,7 +79,6 @@ func parseArgs(args []string) (*config, error) {
 		scale   = fs.Int("scale", 16, "event-volume divisor for -dynamic runs")
 		seed    = fs.Uint64("seed", 1, "scheduler seed for -dynamic runs")
 		asJSON  = fs.Bool("json", false, "emit the lint report as JSON")
-		bench   = fs.Bool("bench", false, "emit per-app static-pass timings as JSON (BENCH_static.json)")
 		metrics = fs.Bool("metrics", false, "append a summary of static-pass metrics after the report")
 		htmlOut = fs.String("html-out", "", "write an HTML triage report with the ranked static coverage gaps")
 		version = fs.Bool("version", false, "print version and exit")
@@ -97,8 +94,8 @@ func parseArgs(args []string) (*config, error) {
 	}
 	cfg := &config{
 		app: *app, traceFile: *traceIn, dynamic: *dynamic, order: *order,
-		scale: *scale, seed: *seed, asJSON: *asJSON, bench: *bench,
-		metrics: *metrics, htmlOut: *htmlOut,
+		scale: *scale, seed: *seed, asJSON: *asJSON, metrics: *metrics,
+		htmlOut: *htmlOut,
 	}
 	if cfg.traceFile != "" && cfg.app == "all" {
 		return nil, fmt.Errorf("-trace needs a single -app (the trace must match the app's bytecode)")
@@ -162,12 +159,9 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("%s: %w", sp[i].Name, err)
 		}
 	}
-	switch {
-	case cfg.bench:
-		err = emitBench(stdout, lints)
-	case cfg.asJSON:
+	if cfg.asJSON {
 		err = emitJSON(stdout, lints)
-	default:
+	} else {
 		err = emitText(stdout, lints)
 	}
 	if err == nil && cfg.htmlOut != "" {
@@ -444,55 +438,6 @@ func (l *appLint) pairJSON(p static.Pair) pairJSON {
 		pj.OrderWitness = info.Witness
 	}
 	return pj
-}
-
-// benchJSON is one BENCH_static.json row. The ordering fields record
-// the event-order pass: distinct pairs proved must-ordered and
-// coverage gaps without vs with the pass.
-type benchJSON struct {
-	App              string `json:"app"`
-	Methods          int    `json:"methods"`
-	DerefSites       int    `json:"derefSites"`
-	Pairs            int    `json:"pairs"`
-	OrderedPairs     int    `json:"orderedPairs"`
-	GapsWithoutOrder int    `json:"gapsWithoutOrder"`
-	GapsWithOrder    int    `json:"gapsWithOrder"`
-
-	Timing static.Timing `json:"timing"`
-}
-
-func emitBench(w io.Writer, lints []*appLint) error {
-	out := make([]benchJSON, 0, len(lints))
-	for _, l := range lints {
-		row := benchJSON{
-			App:        l.spec.Name,
-			Methods:    len(l.b.Prog.Methods),
-			DerefSites: len(l.st.Resolutions),
-			Pairs:      len(l.st.Pairs),
-			Timing:     l.st.Timing,
-		}
-		// Distinct site pairs, and how the order pass splits them.
-		keys := make(map[string]bool)
-		for _, p := range l.st.Pairs {
-			id := fmt.Sprintf("%d/%d/%d/%d/%d", p.Key.Field, p.Key.UseMethod, p.Key.UsePC,
-				p.Key.FreeMethod, p.Key.FreePC)
-			if keys[id] {
-				continue
-			}
-			keys[id] = true
-			if !p.Guarded && !p.AllocSafe {
-				row.GapsWithoutOrder++
-				if _, ok := l.st.Orders.Lookup(p.Key); !ok {
-					row.GapsWithOrder++
-				}
-			}
-		}
-		row.OrderedPairs = l.st.Orders.Ordered()
-		out = append(out, row)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // siteString renders a SiteKey with program name tables (static-only

@@ -130,19 +130,6 @@ func TestStaticOnlyAllApps(t *testing.T) {
 	}
 }
 
-// TestBenchOutput checks the BENCH_static.json shape.
-func TestBenchOutput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-app", "all", "-bench"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"app": "ConnectBot"`, `"total_ns"`, `"pairs"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("bench output missing %q", want)
-		}
-	}
-}
-
 // TestMetricsFlag checks -metrics: the report itself is unchanged and
 // a metrics table with the static-pass counters follows it.
 func TestMetricsFlag(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 
 // benchTraces spans an app-sized trace up to a large chained fan-out.
 // The shapes mirror internal/hb's closure benchmarks so graph-level
-// and pipeline-level numbers line up; the baseline lives in
-// BENCH_analysis.json at the repo root.
+// and pipeline-level numbers line up. No baseline is committed for
+// them; BENCH.json at the repo root holds the test-driven rows.
 var benchTraces = []struct {
 	name string
 	cfg  synth.Config

@@ -25,10 +25,18 @@ func TestDynSoundOrdersAgreeWithHB(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			tr, b := appTraceAndProgram(t, spec)
-			res, err := Analyze(tr, Options{
-				Evidence:        true,
-				EvidenceOptions: provenance.Options{MaxPruned: -1},
-			})
+			res, err := Analyze(tr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Detect again with an uncapped collector, so every ordered
+			// prune keeps its record.
+			col := provenance.NewCollector(res.Trace, res.Graph, res.Conventional, res.Locks,
+				provenance.Options{MaxPruned: -1})
+			det, err := detect.Detect(detect.Input{
+				Trace: res.Trace, Graph: res.Graph, Conventional: res.Conventional,
+				Locks: res.Locks, Collector: col,
+			}, detect.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,13 +61,13 @@ func TestDynSoundOrdersAgreeWithHB(t *testing.T) {
 						what, k, got, info.UseBeforeFree, info.Witness)
 				}
 			}
-			for _, rec := range res.Evidence.PrunedRecords() {
+			for _, rec := range col.PrunedRecords() {
 				if rec.W.Stage == detect.PruneOrdered {
 					check("ordered prune", rec.Use, rec.Free)
 				}
 			}
 			ordered := checked
-			for _, r := range res.Races {
+			for _, r := range det.Races {
 				check("reported race", r.Use, r.Free)
 			}
 			if n := checked - ordered; n != 0 {

@@ -59,8 +59,6 @@ type Options struct {
 	// per-filtered-candidate prune witnesses. Detection results are
 	// identical either way; the switch only buys the bookkeeping.
 	Evidence bool
-	// EvidenceOptions configures the collector when Evidence is set.
-	EvidenceOptions provenance.Options
 }
 
 // Result is the analysis of one trace.
@@ -194,7 +192,7 @@ func (a *Analyzer) Finish(sp *obs.Span) (*Result, error) {
 	}
 	var col *provenance.Collector
 	if opts.Evidence {
-		col = provenance.NewCollector(a.tr, g, conv, ls, opts.EvidenceOptions)
+		col = provenance.NewCollector(a.tr, g, conv, ls, provenance.Options{})
 		in.Collector = col
 	}
 	spDet := sp.Child("detect")

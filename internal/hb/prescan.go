@@ -148,9 +148,6 @@ func (s *Scanner) Consume(e *trace.Entry) error {
 	return nil
 }
 
-// Entries returns how many entries have been consumed.
-func (s *Scanner) Entries() int { return s.i }
-
 // Finish derives the base edges and the anchor index and returns the
 // sealed Prescan.
 func (s *Scanner) Finish() *Prescan {

@@ -12,7 +12,8 @@
 // — enabling it cannot change analysis results; the differential test
 // in internal/analysis proves race reports and stats are
 // byte-identical with instrumentation on and off, and the overhead
-// test at the repo root (BENCH_obs.json) bounds the enabled cost.
+// test at the repo root (the obs row of BENCH.json) bounds the enabled
+// cost.
 //
 // Span hierarchy maps onto Chrome trace-event tracks: Start and Fork
 // allocate a fresh track (concurrent work renders side by side),

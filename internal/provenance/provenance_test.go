@@ -185,14 +185,18 @@ func TestCollectorMaxPrunedCap(t *testing.T) {
 	if err := out.Sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.Analyze(col.T, analysis.Options{
-		Evidence:        true,
-		EvidenceOptions: provenance.Options{MaxPruned: 2},
-	})
+	res, err := analysis.Analyze(col.T, analysis.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Evidence
+	c := provenance.NewCollector(res.Trace, res.Graph, res.Conventional, res.Locks,
+		provenance.Options{MaxPruned: 2})
+	if _, err := detect.Detect(detect.Input{
+		Trace: res.Trace, Graph: res.Graph, Conventional: res.Conventional,
+		Locks: res.Locks, Collector: c,
+	}, detect.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	if c.Dropped() == 0 {
 		t.Fatal("cap of 2 should drop records on this trace")
 	}

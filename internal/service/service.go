@@ -88,10 +88,6 @@ type Config struct {
 	// ReplayScale divides app filler volume when rebuilding models
 	// for confirm replays (default 100, as cafa-bench -validate).
 	ReplayScale int
-	// Analysis carries the pipeline configuration. Evidence is forced
-	// on (the service always serves evidence bundles); job-level
-	// concurrency is the pool's (Workers above).
-	Analysis analysis.Options
 }
 
 func (c *Config) defaults() {
@@ -113,27 +109,20 @@ func (c *Config) defaults() {
 	if c.ReplayScale <= 0 {
 		c.ReplayScale = 100
 	}
-	c.Analysis.Evidence = true
 }
 
-// fingerprint renders the cache-relevant configuration: every switch
-// that changes the served bytes, plus the evidence schema version so
-// schema bumps invalidate stale entries. DerefSources is keyed by
-// presence — the service runs one program configuration for its
-// lifetime.
-func fingerprint(o analysis.Options) string {
-	return fmt.Sprintf("v1|bundle%d|ifguard=%t|intraalloc=%t|lockset=%t|dups=%t|naive=%t|derefs=%t",
-		provenance.BundleVersion,
-		!o.Detect.DisableIfGuard, !o.Detect.DisableIntraEventAlloc, !o.Detect.DisableLockset,
-		o.Detect.KeepDuplicates, o.Naive, o.DerefSources != nil)
-}
+// fingerprint names the one analysis configuration the service runs
+// (every detector filter on, evidence on, no naive baseline, no
+// deref sources), plus the evidence schema version so schema bumps
+// invalidate stale cache entries.
+var fingerprint = fmt.Sprintf("v1|bundle%d|ifguard=true|intraalloc=true|lockset=true|dups=false|naive=false|derefs=false",
+	provenance.BundleVersion)
 
 // Server is the job manager plus its HTTP surface (it implements
 // http.Handler). New starts the worker pool; Shutdown drains it.
 type Server struct {
 	cfg      Config
 	pipeline *analysis.Pipeline
-	fp       string
 	cache    *resultCache
 	mux      *http.ServeMux
 
@@ -162,8 +151,7 @@ func New(cfg Config) *Server {
 	cfg.defaults()
 	s := &Server{
 		cfg:      cfg,
-		pipeline: analysis.New(cfg.Analysis),
-		fp:       fingerprint(cfg.Analysis),
+		pipeline: analysis.New(analysis.Options{Evidence: true}),
 		cache:    newResultCache(cfg.CacheBytes),
 		jobs:     make(map[string]*job),
 		states:   make(map[string]int),
@@ -178,7 +166,7 @@ func New(cfg Config) *Server {
 }
 
 // Fingerprint exposes the configuration fingerprint (cache keying).
-func (s *Server) Fingerprint() string { return s.fp }
+func (s *Server) Fingerprint() string { return fingerprint }
 
 // CacheStats exposes the result-cache tallies.
 func (s *Server) CacheStats() api.CacheStats { return s.cache.stats() }
@@ -309,7 +297,7 @@ func (s *Server) runJob(j *job) {
 			s.failJob(j, o.err)
 			return
 		}
-		s.cache.put(j.sha+"|"+s.fp, o.art)
+		s.cache.put(j.sha+"|"+fingerprint, o.art)
 		s.publishCacheGauges()
 		s.persist(j, o.art)
 		s.setState(j, api.StateDone, func() {
@@ -440,7 +428,7 @@ func (s *Server) persistConfirm(j *job) {
 // finish step. It returns the registered job and whether it was
 // answered from the cache; errors carry an HTTP status.
 func (s *Server) submit(raw []byte, name, app, sha string) (*job, bool, *httpError) {
-	key := sha + "|" + s.fp
+	key := sha + "|" + fingerprint
 	if art, ok := s.cache.get(key); ok {
 		cCacheHits.Inc()
 		j, err := s.register(name, app, sha)

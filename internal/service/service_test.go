@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"cafa/internal/analysis"
 	"cafa/internal/apps"
 	"cafa/internal/service/api"
 	"cafa/internal/sim"
@@ -123,6 +122,12 @@ func TestSubmitAnalyzeFetchArtifacts(t *testing.T) {
 
 func TestCachedResubmissionServesIdenticalBytes(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
+	// Cache keys carry this string; it may change only with what the
+	// service serves.
+	const wantFP = "v1|bundle1|ifguard=true|intraalloc=true|lockset=true|dups=false|naive=false|derefs=false"
+	if fp := s.Fingerprint(); fp != wantFP {
+		t.Fatalf("Fingerprint() = %q, want %q", fp, wantFP)
+	}
 	raw := testTrace(t, 1)
 	_, j1 := post(t, s, raw, "")
 	waitDone(t, s, j1.ID)
@@ -432,21 +437,5 @@ func TestConfirmPreconditions(t *testing.T) {
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs/"+j.ID+"/confirm?app=NoSuchApp", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("confirm with unknown app = %d, want 400", rec.Code)
-	}
-}
-
-// TestFingerprintDistinguishesConfigs guards the cache key: two
-// servers with different detector switches must never share entries.
-func TestFingerprintDistinguishesConfigs(t *testing.T) {
-	var base, naive, nolockset analysis.Options
-	naive.Naive = true
-	nolockset.Detect.DisableLockset = true
-	fps := map[string]bool{
-		fingerprint(base):      true,
-		fingerprint(naive):     true,
-		fingerprint(nolockset): true,
-	}
-	if len(fps) != 3 {
-		t.Fatalf("fingerprints collide: %v", fps)
 	}
 }

@@ -28,8 +28,9 @@ import (
 
 // Static-pass observability (internal/obs): per-pass spans under one
 // "static.analyze" span (serial passes — they nest on one track) and
-// site counters. The Timing struct keeps feeding BENCH_static.json;
-// spans add the same data to the shared trace-event timeline.
+// site counters. The Timing struct feeds the per-app static rows of
+// BENCH.json; spans add the same data to the shared trace-event
+// timeline.
 var (
 	cStaticRuns  = obs.NewCounter("static_analyze_runs_total")
 	cDerefSites  = obs.NewCounter("static_deref_sites_total")
@@ -37,16 +38,16 @@ var (
 	cStaticPairs = obs.NewCounter("static_candidate_pairs_total")
 )
 
-// Timing records wall-clock per pass for the static layer
-// (BENCH_static.json).
+// Timing records wall-clock per pass for the static layer (the
+// static rows of BENCH.json).
 type Timing struct {
-	CallGraph time.Duration `json:"callgraph_ns"`
-	Resolve   time.Duration `json:"resolve_ns"`
-	Guards    time.Duration `json:"guards_ns"`
-	Alloc     time.Duration `json:"alloc_ns"`
-	Pairs     time.Duration `json:"pairs_ns"`
-	Order     time.Duration `json:"order_ns"`
-	Total     time.Duration `json:"total_ns"`
+	CallGraph time.Duration
+	Resolve   time.Duration
+	Guards    time.Duration
+	Alloc     time.Duration
+	Pairs     time.Duration
+	Order     time.Duration
+	Total     time.Duration
 }
 
 // Result bundles every static pass over one program.

@@ -1,7 +1,6 @@
 package cafa
 
 import (
-	"flag"
 	"testing"
 	"time"
 
@@ -11,8 +10,6 @@ import (
 	"cafa/internal/sim"
 	"cafa/internal/trace"
 )
-
-var updateBench = flag.Bool("update-bench", false, "rewrite the BENCH_*.json artifacts with fresh measurements")
 
 // obsOverheadThreshold is the acceptance bound from the obs design
 // contract: enabling instrumentation may cost at most 5% wall-clock
@@ -66,8 +63,6 @@ func obsGate(tb testing.TB, traces []*trace.Trace) overheadGate {
 		name:      "obs",
 		threshold: obsOverheadThreshold,
 		env:       "OBS_OVERHEAD_MAX",
-		test:      "TestObsOverhead",
-		bench:     "BENCH_obs.json",
 		traces:    traces,
 		off:       func(tr *trace.Trace) time.Duration { return analyzeTimed(tb, p, tr) },
 		on: func(tr *trace.Trace) time.Duration {

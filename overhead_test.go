@@ -1,8 +1,6 @@
 package cafa
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
 	"runtime"
 	"slices"
@@ -10,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cafa/internal/apps"
 	"cafa/internal/trace"
 )
 
@@ -27,8 +24,6 @@ type overheadGate struct {
 	name      string  // log label
 	threshold float64 // bound on the median per-pair on/off ratio
 	env       string  // variable that overrides threshold on noisy hosts
-	test      string  // the gating test, named in the artifact's note
-	bench     string  // artifact rewritten under -update-bench
 	traces    []*trace.Trace
 	// off and on each analyze one trace and return the wall-clock of
 	// that analysis alone.
@@ -100,9 +95,9 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
 }
 
-// run measures the gate, logs the ratio quartiles, rewrites the
-// artifact under -update-bench, and fails t when the median ratio
-// reaches the threshold (or its override from g.env).
+// run measures the gate, logs the ratio quartiles, records the gate's
+// row under -update-bench, and fails t when the median ratio reaches
+// the threshold (or its override from g.env).
 func (g overheadGate) run(t *testing.T) {
 	threshold := g.threshold
 	if env := os.Getenv(g.env); env != "" {
@@ -115,43 +110,26 @@ func (g overheadGate) run(t *testing.T) {
 	r := g.measure()
 	t.Logf("%s overhead: median ratio %.4f (q1 %.4f, q3 %.4f) over %d pairs; median off=%v on=%v (threshold %.2f)",
 		g.name, r.median, r.q1, r.q3, overheadPairs, r.off, r.on, threshold)
-	if *updateBench {
-		g.writeBench(t, r)
-	}
+	// Values: the median per-pair on/off ratio and its quartiles over
+	// the ten app traces (benchScale, seed 1), and the median suite
+	// time of each side.
+	recordBench(t, overheadProcs, benchRow{
+		Name:      g.name,
+		Threshold: g.threshold,
+		Values: map[string]float64{
+			"apps":        float64(len(g.traces)),
+			"scale":       benchScale,
+			"pairs":       overheadPairs,
+			"disabled_ns": float64(r.off.Nanoseconds()),
+			"enabled_ns":  float64(r.on.Nanoseconds()),
+			"overhead":    r.median,
+			"overhead_q1": r.q1,
+			"overhead_q3": r.q3,
+		},
+	})
 	if r.median >= threshold {
 		t.Errorf("%s overhead %.4f exceeds threshold %.2f (q1 %.4f, q3 %.4f)",
 			g.name, r.median, threshold, r.q1, r.q3)
-	}
-}
-
-// writeBench records the measurement in the gate's BENCH_*.json at
-// the repo root.
-func (g overheadGate) writeBench(t *testing.T, r overheadResult) {
-	t.Helper()
-	doc := map[string]any{
-		"recorded":   time.Now().Format("2006-01-02"),
-		"go":         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		"gomaxprocs": overheadProcs,
-		"cpus":       runtime.NumCPU(),
-		"note": fmt.Sprintf("Wall-clock of Pipeline.Analyze over the ten app traces (benchScale, seed 1): "+
-			"%d off/on pairs, each trace analyzed off and on back to back with the order flipping from trace to trace and pair to pair; "+
-			"overhead is the median per-pair on/off ratio, disabled_ns and enabled_ns the median suite time per side. Regenerate with `go test -run %s -update-bench .`.",
-			overheadPairs, g.test),
-		"suite":       fmt.Sprintf("%d apps at scale %d", len(apps.Registry), benchScale),
-		"pairs":       overheadPairs,
-		"disabled_ns": r.off.Nanoseconds(),
-		"enabled_ns":  r.on.Nanoseconds(),
-		"overhead":    r.median,
-		"overhead_q1": r.q1,
-		"overhead_q3": r.q3,
-		"threshold":   g.threshold,
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(g.bench, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -51,7 +51,7 @@ func TestEvidenceDoesNotChangeResults(t *testing.T) {
 }
 
 // TestEvidenceOverhead bounds the collector's cost on the ten-app
-// suite. -update-bench records BENCH_provenance.json.
+// suite. -update-bench records its row in BENCH.json.
 func TestEvidenceOverhead(t *testing.T) {
 	evidenceGate(t, suiteTraces(t)).run(t)
 }
@@ -65,8 +65,6 @@ func evidenceGate(tb testing.TB, traces []*trace.Trace) overheadGate {
 		name:      "evidence",
 		threshold: evidenceOverheadThreshold,
 		env:       "EVIDENCE_OVERHEAD_MAX",
-		test:      "TestEvidenceOverhead",
-		bench:     "BENCH_provenance.json",
 		traces:    traces,
 		off:       func(tr *trace.Trace) time.Duration { return analyzeTimed(tb, pOff, tr) },
 		on:        func(tr *trace.Trace) time.Duration { return analyzeTimed(tb, pOn, tr) },

@@ -2,12 +2,10 @@ package cafa
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -35,7 +33,7 @@ func suiteTraceBytes(tb testing.TB) [][]byte {
 }
 
 // TestServeLoad is the service's concurrency proof and the source of
-// BENCH_serve.json. Phase one uploads the ten distinct suite traces
+// the serve row in BENCH.json. Phase one uploads the ten distinct suite traces
 // and waits for completion (all cache misses). Phase two fires 48
 // concurrent duplicate submissions — every one must be served as a
 // completed job straight from the result cache, and the hit counter
@@ -180,40 +178,19 @@ func TestServeLoad(t *testing.T) {
 	t.Logf("distinct: %d jobs in %v; duplicates: %d hits in %v; burst: %d accepted, %d rejected in %v",
 		len(raws), distinctWall, dupJobs, dupWall, accepted, rejected, burstWall)
 
-	if *updateBench {
-		writeBenchServe(t, distinctWall, dupWall, burstWall, dupJobs, accepted, rejected)
-	}
-}
-
-// writeBenchServe records the service throughput baseline in
-// BENCH_serve.json at the repo root.
-func writeBenchServe(t *testing.T, distinct, dup, burst time.Duration, dupJobs, accepted, rejected int) {
-	t.Helper()
-	doc := map[string]any{
-		"recorded":   time.Now().Format("2006-01-02"),
-		"go":         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"note": "cafa-serve load baseline over the ten-app suite (benchScale, seed 1): " +
-			"distinct = submit+analyze all ten traces; duplicate = 48 concurrent cache-hit " +
-			"submissions; burst = 32-way concurrent distinct submissions against a " +
-			"1-worker/1-slot server (accepted+429). Regenerate with " +
-			"`go test -run TestServeLoad -update-bench .`.",
-		"suite":                  fmt.Sprintf("%d apps at scale %d", len(apps.Registry), benchScale),
-		"distinct_jobs":          len(apps.Registry),
-		"distinct_wall_ns":       distinct.Nanoseconds(),
+	// distinct: submit and analyze the ten suite traces (benchScale,
+	// seed 1); duplicate: concurrent cache-hit submissions; burst:
+	// concurrent distinct submissions against the 1-worker/1-slot
+	// server, accepted or answered 429.
+	recordBench(t, runtime.GOMAXPROCS(0), benchRow{Name: "serve", Values: map[string]float64{
+		"distinct_jobs":          float64(len(raws)),
+		"distinct_wall_ns":       float64(distinctWall.Nanoseconds()),
 		"duplicate_jobs":         dupJobs,
-		"duplicate_wall_ns":      dup.Nanoseconds(),
-		"duplicate_hits_per_sec": float64(dupJobs) / dup.Seconds(),
-		"burst_jobs":             32,
-		"burst_accepted":         accepted,
-		"burst_rejected":         rejected,
-		"burst_wall_ns":          burst.Nanoseconds(),
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+		"duplicate_wall_ns":      float64(dupWall.Nanoseconds()),
+		"duplicate_hits_per_sec": dupJobs / dupWall.Seconds(),
+		"burst_jobs":             burst,
+		"burst_accepted":         float64(accepted),
+		"burst_rejected":         float64(rejected),
+		"burst_wall_ns":          float64(burstWall.Nanoseconds()),
+	}})
 }

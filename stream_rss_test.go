@@ -2,13 +2,11 @@ package cafa
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"strconv"
 	"testing"
-	"time"
 
 	"cafa/internal/analysis"
 	"cafa/internal/synth"
@@ -86,16 +84,8 @@ func TestStreamRSS(t *testing.T) {
 		threshold = v
 	}
 
-	type row struct {
-		Name     string  `json:"name"`
-		Entries  int     `json:"entries"`
-		EncodedB int     `json:"encoded_bytes"`
-		BatchB   uint64  `json:"batch_retained_bytes"`
-		StreamB  uint64  `json:"stream_retained_bytes"`
-		Ratio    float64 `json:"stream_over_batch"`
-		Races    int     `json:"races"`
-	}
-	rows := make([]row, 0, len(streamRSSShapes))
+	rows := make([]benchRow, 0, len(streamRSSShapes))
+	var ratio float64
 	p := analysis.New(analysis.Options{})
 
 	for _, shape := range streamRSSShapes {
@@ -134,28 +124,29 @@ func TestStreamRSS(t *testing.T) {
 			t.Fatalf("%s: race count diverged: stream %d, batch %d",
 				shape.name, len(streamRes.Races), len(batchRes.Races))
 		}
-		ratio := float64(streamB) / float64(batchB)
+		ratio = float64(streamB) / float64(batchB)
 		t.Logf("%s: %d entries, batch retains %s, stream retains %s (ratio %.3f)",
 			shape.name, entries, fmtBytes(batchB), fmtBytes(streamB), ratio)
-		rows = append(rows, row{
-			Name: shape.name, Entries: entries, EncodedB: len(raw),
-			BatchB: batchB, StreamB: streamB, Ratio: ratio,
-			Races: len(streamRes.Races),
-		})
+		rows = append(rows, benchRow{Name: "stream/" + shape.name, Values: map[string]float64{
+			"entries":               float64(entries),
+			"encoded_bytes":         float64(len(raw)),
+			"batch_retained_bytes":  float64(batchB),
+			"stream_retained_bytes": float64(streamB),
+			"stream_over_batch":     ratio,
+			"races":                 float64(len(streamRes.Races)),
+		}})
 		runtime.KeepAlive(batchRes)
 		runtime.KeepAlive(streamRes)
 	}
 
 	// The gate applies to the largest trace, where entry storage
 	// dominates both sides' fixed costs.
-	last := rows[len(rows)-1]
-	if last.Ratio >= threshold {
+	last := &rows[len(rows)-1]
+	last.Threshold = streamRSSThreshold
+	recordBench(t, runtime.GOMAXPROCS(0), rows...)
+	if ratio >= threshold {
 		t.Errorf("streaming retains %.1f%% of batch on %s, want under %.0f%%",
-			last.Ratio*100, last.Name, threshold*100)
-	}
-
-	if *updateBench {
-		writeBenchStream(t, rows)
+			ratio*100, last.Name, threshold*100)
 	}
 }
 
@@ -167,27 +158,4 @@ func fmtBytes(b uint64) string {
 		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%d B", b)
-}
-
-// writeBenchStream records the measurement in BENCH_stream.json at the
-// repo root, the artifact named by the streaming acceptance criteria.
-func writeBenchStream(t *testing.T, rows any) {
-	t.Helper()
-	doc := map[string]any{
-		"recorded":   time.Now().Format("2006-01-02"),
-		"go":         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"note": "Heap retained while holding an analysis Result: batch (decoded trace + result) vs " +
-			"streaming (result only) over the same encoded synthetic traces. " +
-			"Regenerate with `go test -run TestStreamRSS -update-bench .`.",
-		"threshold": streamRSSThreshold,
-		"shapes":    rows,
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_stream.json", append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
