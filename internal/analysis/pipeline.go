@@ -125,7 +125,9 @@ func (p *Pipeline) analyze(src Source, sp *obs.Span) (*Result, error) {
 
 // Analyzer is one trace's analysis between Ingest and Finish: the
 // structural validator and the per-entry passes, advanced together by
-// consume, and the finish step that joins them into a Result.
+// consume, and the finish step that joins them into a Result. Every
+// pass keeps its per-task state by the slots of one task table, built
+// from the header when Ingest starts.
 type Analyzer struct {
 	opts *Options
 	tr   *trace.Trace
@@ -137,20 +139,22 @@ type Analyzer struct {
 	n       int // entries consumed
 }
 
-// consume validates one entry and advances every pass by it. Entries
-// must arrive in trace order, so the first fault in trace order is
-// the one reported; *e is not retained.
+// consume validates one entry and advances every pass by it, handing
+// each the slot of the entry's task the validator resolved. Entries
+// must arrive in trace order, so the first fault in trace order is the
+// one reported; *e is not retained.
 func (a *Analyzer) consume(e *trace.Entry) error {
-	if err := a.val.Entry(e); err != nil {
+	slot, err := a.val.Entry(e)
+	if err != nil {
 		return err
 	}
-	if err := a.scanner.Consume(e); err != nil {
+	if err := a.scanner.Consume(e, slot); err != nil {
 		return err
 	}
-	if err := a.locks.Consume(a.n, e); err != nil {
+	if err := a.locks.Consume(a.n, e, slot); err != nil {
 		return err
 	}
-	a.ext.Consume(a.n, e)
+	a.ext.Consume(a.n, e, slot)
 	a.n++
 	if a.n%windowSampleEvery == 0 {
 		gStreamWindow.Set(int64(a.ext.Live()))

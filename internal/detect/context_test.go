@@ -222,9 +222,11 @@ func assertCallStacksMatchRef(t *testing.T, tr *trace.Trace, idxs []int) {
 
 // extract runs the Extractor over a materialized trace.
 func extract(tr *trace.Trace) *extraction {
-	x := NewExtractor(nil)
+	tasks := trace.AllTasks(tr)
+	x := NewExtractor(tasks, nil)
 	for i := range tr.Entries {
-		x.Consume(i, &tr.Entries[i])
+		e := &tr.Entries[i]
+		x.Consume(i, e, tasks.Slot(e.Task))
 	}
 	return x.ex
 }

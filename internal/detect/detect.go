@@ -252,10 +252,12 @@ func Detect(in Input, opts Options) (*Result, error) {
 	if in.Trace == nil || in.Graph == nil {
 		return nil, fmt.Errorf("detect: trace and graph are required")
 	}
-	x := NewExtractor(in.DerefSources)
 	tr := in.Trace
+	tasks := trace.AllTasks(tr)
+	x := NewExtractor(tasks, in.DerefSources)
 	for i := range tr.Entries {
-		x.Consume(i, &tr.Entries[i])
+		e := &tr.Entries[i]
+		x.Consume(i, e, tasks.Slot(e.Task))
 	}
 	return DetectExtracted(in, x, opts)
 }
@@ -269,8 +271,8 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 	if in.Trace == nil || in.Graph == nil {
 		return nil, fmt.Errorf("detect: trace and graph are required")
 	}
-	tr := in.Trace
 	ex := x.ex
+	tasks := ex.tasks
 	res := &Result{}
 	res.Stats.Uses = len(ex.uses)
 	res.Stats.Frees = len(ex.frees)
@@ -316,8 +318,8 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 			// The commutativity heuristics only apply when both events
 			// run on the same looper thread (§4.3): there, looper
 			// atomicity makes whole-event reasoning sound enough.
-			sameLooper := tr.IsEventTask(u.Task) && tr.IsEventTask(f.Task) &&
-				tr.LooperOf(u.Task) == tr.LooperOf(f.Task)
+			lu := tasks.Looper(tasks.Slot(u.Task))
+			sameLooper := lu >= 0 && lu == tasks.Looper(tasks.Slot(f.Task))
 			if sameLooper {
 				if !opts.DisableIntraEventAlloc {
 					// The free side's witness (an alloc after the free)

@@ -60,8 +60,10 @@ type extraction struct {
 	uses   []Use
 	frees  []Free
 	allocs []Alloc
-	// guards per task, in trace order.
-	guards map[trace.TaskID][]guard
+	// tasks slots the trace's tasks; guards holds each slot's guards
+	// in trace order.
+	tasks  *trace.TaskTable
+	guards [][]guard
 	// allocSeqs maps (task, var) to ascending trace indexes of allocs.
 	allocSeqs map[taskVar][]int
 }
@@ -106,10 +108,11 @@ var (
 // free (a streamed trace cannot be swept again later) and emits
 // frontier-retirement metrics.
 type Extractor struct {
-	ex          *extraction
-	sources     map[dataflow.Key]dataflow.Source
-	reads       map[trace.TaskID]map[trace.ObjID]lastRead
-	readsBySite map[trace.TaskID]map[siteKey]lastRead
+	ex      *extraction
+	sources map[dataflow.Key]dataflow.Source
+	// reads and readsBySite are the read frontier by task slot.
+	reads       []map[trace.ObjID]lastRead
+	readsBySite []map[siteKey]lastRead
 	usedReads   map[int]bool // read idx already promoted to a Use
 
 	calls  liveStacks
@@ -117,23 +120,25 @@ type Extractor struct {
 	live   int // unpromoted pinned reads (the frontier window)
 }
 
-// NewExtractor returns an Extractor. When sources is non-nil (the
-// static data-flow extension of §6.3), dereferences resolve to the
-// exact pointer-load site instead of the nearest same-object read.
-func NewExtractor(sources map[dataflow.Key]dataflow.Source) *Extractor {
+// NewExtractor returns an Extractor over a trace's task slots. When
+// sources is non-nil (the static data-flow extension of §6.3),
+// dereferences resolve to the exact pointer-load site instead of the
+// nearest same-object read.
+func NewExtractor(tasks *trace.TaskTable, sources map[dataflow.Key]dataflow.Source) *Extractor {
 	x := &Extractor{
 		ex: &extraction{
-			guards:    make(map[trace.TaskID][]guard),
+			tasks:     tasks,
+			guards:    make([][]guard, tasks.Len()),
 			allocSeqs: make(map[taskVar][]int),
 		},
 		sources:   sources,
-		reads:     make(map[trace.TaskID]map[trace.ObjID]lastRead),
+		reads:     make([]map[trace.ObjID]lastRead, tasks.Len()),
 		usedReads: make(map[int]bool),
 		calls:     liveStacks{},
 		stacks:    make(map[int][]trace.MethodID),
 	}
 	if sources != nil {
-		x.readsBySite = make(map[trace.TaskID]map[siteKey]lastRead)
+		x.readsBySite = make([]map[siteKey]lastRead, tasks.Len())
 	}
 	return x
 }
@@ -152,15 +157,16 @@ func (x *Extractor) Live() int { return x.live }
 // trace index.
 func (x *Extractor) Stacks() map[int][]trace.MethodID { return x.stacks }
 
-// Consume processes entry i. Entries must arrive in trace order.
-func (x *Extractor) Consume(i int, e *trace.Entry) {
+// Consume processes entry i, whose task has slot slot (see
+// trace.TaskTable). Entries must arrive in trace order.
+func (x *Extractor) Consume(i int, e *trace.Entry, slot int32) {
 	ex := x.ex
 	switch e.Op {
 	case trace.OpPtrRead:
-		m := x.reads[e.Task]
+		m := x.reads[slot]
 		if m == nil {
 			m = make(map[trace.ObjID]lastRead)
-			x.reads[e.Task] = m
+			x.reads[slot] = m
 		}
 		if old, had := m[e.Value]; had && !x.usedReads[old.idx] {
 			x.retire(i, old.idx) // evicted by a newer read of the same object
@@ -169,10 +175,10 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 		}
 		m[e.Value] = lastRead{idx: i, vr: e.Var, pc: e.PC, method: e.Method}
 		if x.sources != nil {
-			sm := x.readsBySite[e.Task]
+			sm := x.readsBySite[slot]
 			if sm == nil {
 				sm = make(map[siteKey]lastRead)
-				x.readsBySite[e.Task] = sm
+				x.readsBySite[slot] = sm
 			}
 			sm[siteKey{e.Method, e.PC}] = lastRead{idx: i, vr: e.Var, pc: e.PC, method: e.Method}
 		}
@@ -206,12 +212,12 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 				if lm == 0 {
 					lm = e.Method
 				}
-				lr, ok = x.readsBySite[e.Task][siteKey{lm, src.LoadPC}]
+				lr, ok = x.readsBySite[slot][siteKey{lm, src.LoadPC}]
 			default:
-				lr, ok = x.reads[e.Task][e.Value]
+				lr, ok = x.reads[slot][e.Value]
 			}
 		} else {
-			lr, ok = x.reads[e.Task][e.Value]
+			lr, ok = x.reads[slot][e.Value]
 		}
 		if !ok || x.usedReads[lr.idx] {
 			return
@@ -229,11 +235,11 @@ func (x *Extractor) Consume(i int, e *trace.Entry) {
 		g := guard{
 			idx: i, kind: e.Branch, pc: e.PC, target: e.TargetPC, method: e.Method,
 		}
-		if lr, ok := x.reads[e.Task][e.Value]; ok {
+		if lr, ok := x.reads[slot][e.Value]; ok {
 			g.vr = lr.vr
 			g.ok = true
 		}
-		ex.guards[e.Task] = append(ex.guards[e.Task], g)
+		ex.guards[slot] = append(ex.guards[slot], g)
 
 	case trace.OpInvoke, trace.OpReturn:
 		x.calls.step(e)

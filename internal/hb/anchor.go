@@ -3,8 +3,6 @@ package hb
 import (
 	"cmp"
 	"slices"
-
-	"cafa/internal/trace"
 )
 
 // anchorIndex names the only nodes where reachability crosses
@@ -114,15 +112,17 @@ func (ps *Prescan) buildAnchorIndex() *anchorIndex {
 	for id := range ps.nodes {
 		ix.exitAt[id], ix.entryAt[id] = -1, -1
 	}
-	for _, b := range ps.begins {
-		ix.entryAt[b] = isAnchor
-	}
-	for _, e := range ps.ends {
-		ix.exitAt[e] = isAnchor
+	for s := range ps.begins {
+		if b := ps.begins[s]; b >= 0 {
+			ix.entryAt[b] = isAnchor
+		}
+		if e := ps.ends[s]; e >= 0 {
+			ix.exitAt[e] = isAnchor
+		}
 	}
 	for u := range ps.nodes {
 		for _, v := range ps.baseSuccOf(u) {
-			if ps.nodes[u].task != ps.nodes[v].task {
+			if ps.nodes[u].slot != ps.nodes[v].slot {
 				ix.exitAt[u] = isAnchor
 				ix.entryAt[v] = isAnchor
 			}
@@ -139,7 +139,8 @@ func (ps *Prescan) buildAnchorIndex() *anchorIndex {
 		}
 	}
 	// Resolve every other node to its task's nearest anchors.
-	for _, ns := range ps.taskNodes {
+	for s := range int32(ps.tasks.Len()) {
+		ns := ps.slotNodes(s)
 		last := int32(-1)
 		for _, id := range ns {
 			if ix.entryAt[id] >= 0 {
@@ -187,12 +188,10 @@ func (ix *anchorIndex) buildLooperRules(ps *Prescan) {
 		ix.evAt[c], ix.anteEv[c] = -1, -1
 	}
 	n := 0
-	for _, lo := range sortedKeys(ps.looperEvents) {
+	for l := range int32(ps.tasks.Len()) {
 		lr := looperRule{first: n}
-		for _, ev := range ps.looperEvents[lo] {
-			b, ok1 := ps.begins[ev]
-			e, ok2 := ps.ends[ev]
-			if ok1 && ok2 {
+		for _, ev := range ps.eventsOf(l) {
+			if b, e := ps.begins[ev], ps.ends[ev]; b >= 0 && e >= 0 {
 				re := ruleEvent{begin: b, end: e, col: ix.entryAt[b], ante: ix.entryAt[e]}
 				ix.evAt[re.col], ix.anteEv[re.ante] = int32(n), int32(n)
 				lr.events = append(lr.events, re)
@@ -227,17 +226,11 @@ func (ix *anchorIndex) buildQueueRules(ps *Prescan) {
 			ends:   make([]int32, len(sends)),
 			own:    make([]int32, len(sends)),
 		}
-		lastOf := make(map[trace.TaskID]int32)
-		var byCol []int32 // send indexes with an entry, by column
+		lastOf := make(map[int32]int32) // task slot → its last send
+		var byCol []int32               // send indexes with an entry, by column
 		for i, s := range sends {
-			qr.begins[i], qr.ends[i], qr.own[i] = -1, -1, -1
-			if b, ok := ps.begins[s.event]; ok {
-				qr.begins[i] = b
-			}
-			if e, ok := ps.ends[s.event]; ok {
-				qr.ends[i] = e
-			}
-			t := ps.nodes[s.node].task
+			qr.begins[i], qr.ends[i], qr.own[i] = ps.nodeOf(ps.begins, s.event), ps.nodeOf(ps.ends, s.event), -1
+			t := ps.nodes[s.node].slot
 			if prev, ok := lastOf[t]; ok {
 				qr.own[prev] = int32(i)
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"cafa/internal/trace"
 )
 
 // Explain returns a happens-before derivation from entry i to entry
@@ -108,9 +106,9 @@ func (g *Graph) CommonAncestor(i, j int) int {
 	// min(i, j) in trace order, so n ≺ i holds by program order within
 	// i's task and otherwise is one closure test of n's exit row
 	// against the column of i's backward anchor, resolved once here.
-	ti := g.tr.Entries[i].Task
-	tj := g.tr.Entries[j].Task
-	ci, cj := g.columnOf(g.anchorBefore(ti, i)), g.columnOf(g.anchorBefore(tj, j))
+	ei, ej := g.tr.Entries[i].Task, g.tr.Entries[j].Task
+	ci, cj := g.columnOf(g.anchorBefore(ei, i)), g.columnOf(g.anchorBefore(ej, j))
+	ti, tj := g.tasks.Slot(ei), g.tasks.Slot(ej)
 	lim := min(i, j)
 	lo, hi := 0, len(g.nodes)
 	for lo < hi {
@@ -131,7 +129,7 @@ func (g *Graph) CommonAncestor(i, j int) int {
 		return g.ancestorByRows(ti, tj, rowsOf(ci), rowsOf(cj), int32(lo))
 	}
 	for n := int32(lo - 1); n >= 0; n-- {
-		t, r := g.nodes[n].task, g.ix.exitAt[n]
+		t, r := g.nodes[n].slot, g.ix.exitAt[n]
 		if (t == ti || g.rowHas(r, ci)) && (t == tj || g.rowHas(r, cj)) {
 			return g.nodes[n].seq
 		}
@@ -140,14 +138,15 @@ func (g *Graph) CommonAncestor(i, j int) int {
 }
 
 // ancestorByRows is CommonAncestor over the rows that reach i's column
-// (a) and j's column (b), ascending, for nodes before node lo. Within
+// (a) and j's column (b), ascending, for nodes before node lo; ti and
+// tj are the task slots of i and j. Within
 // one task, a node's exit row holds every column a later node's does,
 // so the nodes of a task that qualify are those up to its last exit
 // whose row does. A qualifying row's exit is itself the candidate when
 // it precedes lo, else the task's last node before lo is. Walking the
 // rows down from the latest, the first candidate no later exit can
 // beat is the answer.
-func (g *Graph) ancestorByRows(ti, tj trace.TaskID, a, b []int32, lo int32) int {
+func (g *Graph) ancestorByRows(ti, tj int32, a, b []int32, lo int32) int {
 	best := int32(-1)
 	if ti == tj {
 		best = g.lastNodeBefore(ti, lo)
@@ -171,7 +170,7 @@ func (g *Graph) ancestorByRows(ti, tj trace.TaskID, a, b []int32, lo int32) int 
 		if x <= best {
 			break
 		}
-		if t := g.nodes[x].task; (t == ti || inA) && (t == tj || inB) {
+		if t := g.nodes[x].slot; (t == ti || inA) && (t == tj || inB) {
 			if x >= lo {
 				x = g.lastNodeBefore(t, lo)
 			}
@@ -184,9 +183,10 @@ func (g *Graph) ancestorByRows(ti, tj trace.TaskID, a, b []int32, lo int32) int 
 	return g.nodes[best].seq
 }
 
-// lastNodeBefore returns task t's last node before node lo, or -1.
-func (g *Graph) lastNodeBefore(t trace.TaskID, lo int32) int32 {
-	ns := g.taskNodes[t]
+// lastNodeBefore returns the last node before node lo of the task in
+// slot t, or -1.
+func (g *Graph) lastNodeBefore(t int32, lo int32) int32 {
+	ns := g.slotNodes(t)
 	k := sort.Search(len(ns), func(k int) bool { return ns[k] >= lo })
 	if k == 0 {
 		return -1

@@ -92,8 +92,8 @@ type Options struct {
 
 // node is one reduced node of the graph.
 type node struct {
-	seq  int // entry index in the trace
-	task trace.TaskID
+	seq  int   // entry index in the trace
+	slot int32 // its task's slot in the trace's TaskTable
 }
 
 type sendInfo struct {
@@ -103,23 +103,18 @@ type sendInfo struct {
 	front bool
 }
 
-// Graph is the happens-before graph of one trace.
+// Graph is the happens-before graph of one trace. It reads the node
+// set, the per-task node lists and the anchor index straight from the
+// Prescan it was built over.
 type Graph struct {
-	tr    *trace.Trace
-	opts  Options
-	nodes []node
-	// taskNodes holds node ids per task, ascending by seq.
-	taskNodes map[trace.TaskID][]int32
-	adj       [][]int32
-	// ix is the Prescan's exit and entry index. The event-driven model
-	// keeps its closure in reach, one row per exit; the conventional
-	// model keeps proj, its closure projected onto queried columns.
-	ix    *anchorIndex
+	*Prescan
+	opts Options
+	adj  [][]int32
+	// The event-driven model keeps its closure in reach, one row per
+	// exit of the Prescan's index; the conventional model keeps proj,
+	// its closure projected onto queried columns.
 	reach *rowSet
 	proj  *projection
-
-	begins map[trace.TaskID]int32 // node id of begin(t)
-	ends   map[trace.TaskID]int32 // node id of end(t)
 
 	// pending are edges added since the last closure; the next
 	// (incremental) closure round consumes them. changed is that
@@ -160,11 +155,10 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 	if opts.Conventional {
 		// Conventional baseline: total event order per looper. The
 		// rules would add nothing to it (see the package comment).
-		for _, evs := range ps.looperEvents {
+		for l := range int32(ps.tasks.Len()) {
+			evs := ps.eventsOf(l)
 			for i := 1; i < len(evs); i++ {
-				en, ok1 := g.ends[evs[i-1]]
-				b, ok2 := g.begins[evs[i]]
-				if ok1 && ok2 && g.addEdge(en, b) {
+				if g.addEdge(ps.ends[evs[i-1]], ps.begins[evs[i]]) {
 					g.baseEdges++
 				}
 			}
@@ -185,15 +179,7 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 
 // newGraph returns a graph over ps holding its base edges.
 func newGraph(ps *Prescan, opts Options) *Graph {
-	g := &Graph{
-		tr:        ps.tr,
-		opts:      opts,
-		nodes:     ps.nodes,
-		taskNodes: ps.taskNodes,
-		ix:        ps.ix,
-		begins:    ps.begins,
-		ends:      ps.ends,
-	}
+	g := &Graph{Prescan: ps, opts: opts}
 	g.adj = make([][]int32, len(g.nodes))
 	for u := range g.adj {
 		g.adj[u] = ps.baseSuccOf(u)
@@ -334,7 +320,7 @@ func (g *Graph) incrementalClosure() {
 // within a task; across tasks, the row of u's next exit at the column
 // of v's last entry.
 func (g *Graph) reachable(u, v int32) bool {
-	if g.nodes[u].task == g.nodes[v].task {
+	if g.nodes[u].slot == g.nodes[v].slot {
 		return u <= v
 	}
 	return g.rowHas(g.ix.exitAt[u], g.ix.entryAt[v])

@@ -9,7 +9,7 @@ import (
 // anchorAfter returns the first reduced node of task t at or after
 // entry seq, or -1.
 func (g *Graph) anchorAfter(t trace.TaskID, seq int) int32 {
-	ns := g.taskNodes[t]
+	ns := g.nodesOf(t)
 	i := sort.Search(len(ns), func(i int) bool { return g.nodes[ns[i]].seq >= seq })
 	if i == len(ns) {
 		return -1
@@ -20,7 +20,7 @@ func (g *Graph) anchorAfter(t trace.TaskID, seq int) int32 {
 // anchorBefore returns the last reduced node of task t at or before
 // entry seq, or -1.
 func (g *Graph) anchorBefore(t trace.TaskID, seq int) int32 {
-	ns := g.taskNodes[t]
+	ns := g.nodesOf(t)
 	i := sort.Search(len(ns), func(i int) bool { return g.nodes[ns[i]].seq > seq })
 	if i == 0 {
 		return -1
@@ -75,9 +75,8 @@ func (g *Graph) ConcurrentAt(i int, ti trace.TaskID, j int, tj trace.TaskID) boo
 // TaskOrdered reports end(t1) ≺ begin(t2): the whole of task t1
 // happens-before the whole of task t2.
 func (g *Graph) TaskOrdered(t1, t2 trace.TaskID) bool {
-	en, ok1 := g.ends[t1]
-	b, ok2 := g.begins[t2]
-	if !ok1 || !ok2 {
+	en, b := g.nodeOf(g.ends, t1), g.nodeOf(g.begins, t2)
+	if en < 0 || b < 0 {
 		return false
 	}
 	return g.reachable(en, b)
@@ -91,6 +90,3 @@ func (g *Graph) TasksConcurrent(t1, t2 trace.TaskID) bool {
 	}
 	return !g.TaskOrdered(t1, t2) && !g.TaskOrdered(t2, t1)
 }
-
-// Trace returns the underlying trace.
-func (g *Graph) Trace() *trace.Trace { return g.tr }

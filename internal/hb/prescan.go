@@ -28,30 +28,37 @@ type redOp struct {
 // indexes, and the base edges common to the event-driven and
 // conventional models. A Prescan is immutable after Scan (or
 // Scanner.Finish) returns, so concurrent BuildFromScan calls may
-// share one. Its memory is O(reduced nodes), never O(trace): a
-// streaming scan retains only the redOp records, not the entries.
+// share one. Its memory is O(reduced nodes + tasks), never O(trace):
+// a streaming scan retains only the redOp records, not the entries.
+// Per-task state lives in slices indexed by the trace's task slots.
 type Prescan struct {
 	tr     *trace.Trace
+	tasks  *trace.TaskTable
 	nodes  []node
 	redOps []redOp
-	// taskNodes holds node ids per task, ascending by seq.
-	taskNodes map[trace.TaskID][]int32
+	// taskNodes holds node ids task by task, each task's ascending by
+	// seq: slot s's are taskNodes[taskOff[s]:taskOff[s+1]].
+	taskOff   []int32
+	taskNodes []int32
 
-	begins map[trace.TaskID]int32 // node id of begin(t)
-	ends   map[trace.TaskID]int32 // node id of end(t)
+	begins []int32 // by slot: node id of begin(t), or -1
+	ends   []int32 // by slot: node id of end(t), or -1
 	// queueSends lists sends per queue in trace order.
 	queueSends map[trace.QueueID][]sendInfo
-	// looperEvents lists events per looper in begin order.
-	looperEvents map[trace.TaskID][]trace.TaskID
+	// looperEvents holds event slots looper by looper, each looper's
+	// in begin order: looper slot l's are
+	// looperEvents[looperOff[l]:looperOff[l+1]].
+	looperOff    []int32
+	looperEvents []int32
 
 	// baseSucc lists the model-independent base edges (every rule
 	// group except the conventional looper total order, which only the
 	// baseline model adds) by source, in derivation order: node u's
-	// successors are baseSucc[baseOff[u]:baseOff[u+1]]. baseEdges
+	// successors are baseSucc[baseOff[u]:baseOff[u+1]]. baseList
 	// collects them during Finish and is released after.
-	baseOff   []int32
-	baseSucc  []int32
-	baseEdges []edge
+	baseOff  []int32
+	baseSucc []int32
+	baseList []edge
 	// ix is the exit and entry index both models' closures share.
 	ix *anchorIndex
 }
@@ -59,19 +66,14 @@ type Prescan struct {
 // Scan performs the shared single pass over the trace: reduced-node
 // collection plus the model-independent base edges. Both causality
 // model variants build from the same Prescan without rescanning the
-// trace.
+// trace, which need not have been validated: every task an entry
+// names gets a slot.
 func Scan(tr *trace.Trace) (*Prescan, error) {
-	sc := NewScanner(tr)
-	reduced := 0
+	tasks := trace.AllTasks(tr)
+	sc := NewScanner(tr, tasks)
 	for i := range tr.Entries {
-		if isReducedOp(tr.Entries[i].Op) {
-			reduced++
-		}
-	}
-	sc.ps.nodes = make([]node, 0, reduced)
-	sc.ps.redOps = make([]redOp, 0, reduced)
-	for i := range tr.Entries {
-		if err := sc.Consume(&tr.Entries[i]); err != nil {
+		e := &tr.Entries[i]
+		if err := sc.Consume(e, tasks.Slot(e.Task)); err != nil {
 			return nil, err
 		}
 	}
@@ -80,6 +82,34 @@ func Scan(tr *trace.Trace) (*Prescan, error) {
 
 // Trace returns the scanned trace.
 func (ps *Prescan) Trace() *trace.Trace { return ps.tr }
+
+// nodesOf returns task t's node ids, ascending by seq.
+func (ps *Prescan) nodesOf(t trace.TaskID) []int32 {
+	return ps.slotNodes(ps.tasks.Slot(t))
+}
+
+// slotNodes returns the node ids of the task in slot s (none for -1),
+// ascending by seq.
+func (ps *Prescan) slotNodes(s int32) []int32 {
+	if s < 0 {
+		return nil
+	}
+	return ps.taskNodes[ps.taskOff[s]:ps.taskOff[s+1]]
+}
+
+// eventsOf returns the event slots of the looper in slot l, in begin
+// order.
+func (ps *Prescan) eventsOf(l int32) []int32 {
+	return ps.looperEvents[ps.looperOff[l]:ps.looperOff[l+1]]
+}
+
+// nodeOf returns the entry of a by-slot node table for task t, or -1.
+func (ps *Prescan) nodeOf(bySlot []int32, t trace.TaskID) int32 {
+	if s := ps.tasks.Slot(t); s >= 0 {
+		return bySlot[s]
+	}
+	return -1
+}
 
 // Scanner is the streaming form of Scan: entries are consumed one at
 // a time and may be discarded by the caller immediately after each
@@ -92,20 +122,29 @@ type Scanner struct {
 }
 
 // NewScanner returns a Scanner over a header trace (task and name
-// tables; Entries may be empty).
-func NewScanner(header *trace.Trace) *Scanner {
-	return &Scanner{ps: &Prescan{
-		tr:           header,
-		taskNodes:    make(map[trace.TaskID][]int32),
-		begins:       make(map[trace.TaskID]int32),
-		ends:         make(map[trace.TaskID]int32),
-		queueSends:   make(map[trace.QueueID][]sendInfo),
-		looperEvents: make(map[trace.TaskID][]trace.TaskID),
-	}}
+// tables; Entries may be empty) and its task slots. The node tables
+// are sized from the header: most tasks have a begin, an end and the
+// fork or send that created them.
+func NewScanner(header *trace.Trace, tasks *trace.TaskTable) *Scanner {
+	n := tasks.Len()
+	ps := &Prescan{
+		tr:         header,
+		tasks:      tasks,
+		nodes:      make([]node, 0, min(3*n, header.Len())),
+		begins:     make([]int32, n),
+		ends:       make([]int32, n),
+		queueSends: make(map[trace.QueueID][]sendInfo, len(header.Queues)),
+	}
+	ps.redOps = make([]redOp, 0, cap(ps.nodes))
+	for s := range ps.begins {
+		ps.begins[s], ps.ends[s] = -1, -1
+	}
+	return &Scanner{ps: ps}
 }
 
-// Consume advances the scan by one entry. The entry is not retained.
-func (s *Scanner) Consume(e *trace.Entry) error {
+// Consume advances the scan by one entry whose task has slot slot (see
+// trace.TaskTable). The entry is not retained.
+func (s *Scanner) Consume(e *trace.Entry, slot int32) error {
 	i := s.i
 	s.i++
 	ps := s.ps
@@ -113,22 +152,17 @@ func (s *Scanner) Consume(e *trace.Entry) error {
 		return nil
 	}
 	id := int32(len(ps.nodes))
-	ps.nodes = append(ps.nodes, node{seq: i, task: e.Task})
-	ps.taskNodes[e.Task] = append(ps.taskNodes[e.Task], id)
+	ps.nodes = append(ps.nodes, node{seq: i, slot: slot})
 	ro := redOp{op: e.Op}
 	switch e.Op {
 	case trace.OpBegin:
-		if _, dup := ps.begins[e.Task]; dup {
+		if ps.begins[slot] >= 0 {
 			return fmt.Errorf("hb: duplicate begin for t%d", e.Task)
 		}
-		ps.begins[e.Task] = id
-		if ps.tr.IsEventTask(e.Task) {
-			lo := ps.tr.LooperOf(e.Task)
-			ps.looperEvents[lo] = append(ps.looperEvents[lo], e.Task)
-		}
+		ps.begins[slot] = id
 		ro.ext = e.External
 	case trace.OpEnd:
-		ps.ends[e.Task] = id
+		ps.ends[slot] = id
 	case trace.OpSend, trace.OpSendAtFront:
 		ps.queueSends[e.Queue] = append(ps.queueSends[e.Queue], sendInfo{
 			node: id, event: e.Target, delay: e.Delay, front: e.Op == trace.OpSendAtFront,
@@ -148,28 +182,74 @@ func (s *Scanner) Consume(e *trace.Entry) error {
 	return nil
 }
 
-// Finish derives the base edges and the anchor index and returns the
-// sealed Prescan.
+// Finish groups the nodes by task and the events by looper, derives
+// the base edges and the anchor index, and returns the sealed Prescan.
 func (s *Scanner) Finish() *Prescan {
 	ps := s.ps
+	ps.taskOff, ps.taskNodes = ps.groupByTask()
+	ps.looperOff, ps.looperEvents = ps.groupByLooper()
 	ps.collectBaseEdges()
 	ps.redOps = nil // only the base-edge pass reads them
 	ps.baseOff = make([]int32, len(ps.nodes)+1)
-	for _, e := range ps.baseEdges {
+	for _, e := range ps.baseList {
 		ps.baseOff[e.u+1]++
 	}
 	for u := range ps.nodes {
 		ps.baseOff[u+1] += ps.baseOff[u]
 	}
-	ps.baseSucc = make([]int32, len(ps.baseEdges))
+	ps.baseSucc = make([]int32, len(ps.baseList))
 	fill := slices.Clone(ps.baseOff[:len(ps.nodes)])
-	for _, e := range ps.baseEdges {
+	for _, e := range ps.baseList {
 		ps.baseSucc[fill[e.u]] = e.v
 		fill[e.u]++
 	}
-	ps.baseEdges = nil
+	ps.baseList = nil
 	ps.ix = ps.buildAnchorIndex()
 	return ps
+}
+
+// groupBy lays n items out by key, each key's in item order: key k's
+// items are out[off[k]:off[k+1]]. keyOf returns -1 to leave an item
+// out.
+func groupBy(keys, n int, keyOf func(i int) int32) (off, out []int32) {
+	off = make([]int32, keys+1)
+	for i := range n {
+		if k := keyOf(i); k >= 0 {
+			off[k+1]++
+		}
+	}
+	for k := range keys {
+		off[k+1] += off[k]
+	}
+	out = make([]int32, off[keys])
+	fill := slices.Clone(off[:keys])
+	for i := range n {
+		if k := keyOf(i); k >= 0 {
+			out[fill[k]] = int32(i)
+			fill[k]++
+		}
+	}
+	return off, out
+}
+
+// groupByTask lists the node ids by task slot.
+func (ps *Prescan) groupByTask() (off, nodes []int32) {
+	return groupBy(ps.tasks.Len(), len(ps.nodes), func(i int) int32 { return ps.nodes[i].slot })
+}
+
+// groupByLooper lists each looper's events, as slots, in begin order:
+// begin nodes of events, grouped by their looper's slot.
+func (ps *Prescan) groupByLooper() (off, events []int32) {
+	off, events = groupBy(ps.tasks.Len(), len(ps.nodes), func(i int) int32 {
+		if ps.redOps[i].op != trace.OpBegin {
+			return -1
+		}
+		return ps.tasks.Looper(ps.nodes[i].slot)
+	})
+	for k, id := range events {
+		events[k] = ps.nodes[id].slot
+	}
+	return off, events
 }
 
 // baseSuccOf returns node u's base-edge successors. The slice is
@@ -190,7 +270,7 @@ func (ps *Prescan) addBase(u, v int32) bool {
 	if ps.nodes[u].seq >= ps.nodes[v].seq {
 		return false
 	}
-	ps.baseEdges = append(ps.baseEdges, edge{u, v})
+	ps.baseList = append(ps.baseList, edge{u, v})
 	return true
 }
 
@@ -200,7 +280,8 @@ func (ps *Prescan) addBase(u, v int32) bool {
 // trace would).
 func (ps *Prescan) collectBaseEdges() {
 	// Program-order chains within each task.
-	for _, ns := range ps.taskNodes {
+	for s := range int32(ps.tasks.Len()) {
+		ns := ps.slotNodes(s)
 		for i := 1; i < len(ns); i++ {
 			ps.addBase(ns[i-1], ns[i])
 		}
@@ -232,14 +313,10 @@ func (ps *Prescan) collectBaseEdges() {
 		id := int32(id32)
 		ro := &ps.redOps[id32]
 		switch ro.op {
-		case trace.OpFork:
-			if b, ok := ps.begins[trace.TaskID(ro.arg)]; ok {
-				ps.addBase(id, b)
-			}
+		case trace.OpFork, trace.OpSend, trace.OpSendAtFront:
+			ps.addBase(id, ps.nodeOf(ps.begins, trace.TaskID(ro.arg)))
 		case trace.OpJoin:
-			if en, ok := ps.ends[trace.TaskID(ro.arg)]; ok {
-				ps.addBase(en, id)
-			}
+			ps.addBase(ps.nodeOf(ps.ends, trace.TaskID(ro.arg)), id)
 		case trace.OpNotify:
 			mp := monitors[trace.MonitorID(ro.arg)]
 			if mp == nil {
@@ -254,10 +331,6 @@ func (ps *Prescan) collectBaseEdges() {
 				monitors[trace.MonitorID(ro.arg)] = mp
 			}
 			mp.waits = append(mp.waits, id)
-		case trace.OpSend, trace.OpSendAtFront:
-			if b, ok := ps.begins[trace.TaskID(ro.arg)]; ok {
-				ps.addBase(id, b)
-			}
 		case trace.OpRegister:
 			lp := listeners[trace.ListenerID(ro.arg)]
 			if lp == nil {
@@ -331,9 +404,6 @@ func (ps *Prescan) collectBaseEdges() {
 		return ps.nodes[externals[i]].seq < ps.nodes[externals[j]].seq
 	})
 	for i := 1; i < len(externals); i++ {
-		prevTask := ps.nodes[externals[i-1]].task
-		if en, ok := ps.ends[prevTask]; ok {
-			ps.addBase(en, externals[i])
-		}
+		ps.addBase(ps.ends[ps.nodes[externals[i-1]].slot], externals[i])
 	}
 }

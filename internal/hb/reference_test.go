@@ -28,12 +28,11 @@ func buildRef(ps *Prescan, opts Options) *refGraph {
 		g.baseEdges += len(g.adj[u])
 	}
 	if opts.Conventional {
-		for _, lo := range sortedKeys(ps.looperEvents) {
-			evs := ps.looperEvents[lo]
+		for lo := range int32(ps.tasks.Len()) {
+			evs := ps.eventsOf(lo)
 			for i := 1; i < len(evs); i++ {
-				en, ok1 := ps.ends[evs[i-1]]
-				b, ok2 := ps.begins[evs[i]]
-				if ok1 && ok2 && g.addEdge(en, b) {
+				en, b := ps.ends[evs[i-1]], ps.begins[evs[i]]
+				if en >= 0 && b >= 0 && g.addEdge(en, b) {
 					g.baseEdges++
 				}
 			}
@@ -99,18 +98,16 @@ func (g *refGraph) orderNodes(en, b int32, added *bool) {
 func (g *refGraph) applyDerivedRules() bool {
 	ps := g.ps
 	added := false
-	for _, lo := range sortedKeys(ps.looperEvents) {
-		evs := ps.looperEvents[lo]
+	for lo := range int32(ps.tasks.Len()) {
+		evs := ps.eventsOf(lo)
 		for i := range evs {
-			bi, ok1 := ps.begins[evs[i]]
-			ei, ok2 := ps.ends[evs[i]]
-			if !ok1 || !ok2 {
+			bi, ei := ps.begins[evs[i]], ps.ends[evs[i]]
+			if bi < 0 || ei < 0 {
 				continue
 			}
 			for j := i + 1; j < len(evs); j++ {
-				bj, ok1 := ps.begins[evs[j]]
-				ej, ok2 := ps.ends[evs[j]]
-				if !ok1 || !ok2 {
+				bj, ej := ps.begins[evs[j]], ps.ends[evs[j]]
+				if bj < 0 || ej < 0 {
 					continue
 				}
 				if g.reachable(bi, ej) && !g.reachable(ei, bj) && g.addEdge(ei, bj) {
@@ -122,18 +119,8 @@ func (g *refGraph) applyDerivedRules() bool {
 	}
 	for _, q := range sortedKeys(ps.queueSends) {
 		sends := ps.queueSends[q]
-		beginOf := func(i int) int32 {
-			if b, ok := ps.begins[sends[i].event]; ok {
-				return b
-			}
-			return -1
-		}
-		endOf := func(i int) int32 {
-			if e, ok := ps.ends[sends[i].event]; ok {
-				return e
-			}
-			return -1
-		}
+		beginOf := func(i int) int32 { return ps.nodeOf(ps.begins, sends[i].event) }
+		endOf := func(i int) int32 { return ps.nodeOf(ps.ends, sends[i].event) }
 		for ai, a := range sends {
 			for bi := ai + 1; bi < len(sends); bi++ {
 				b := sends[bi]

@@ -22,11 +22,15 @@ type Sets struct {
 	at map[int][]trace.LockID
 }
 
-// Compute scans the trace once and records held-lock snapshots.
+// Compute scans the trace once and records held-lock snapshots. The
+// trace need not have been validated: every task an entry names gets
+// a slot.
 func Compute(tr *trace.Trace) (*Sets, error) {
-	tk := NewTracker()
+	tasks := trace.AllTasks(tr)
+	tk := NewTracker(tasks)
 	for i := range tr.Entries {
-		if err := tk.Consume(i, &tr.Entries[i]); err != nil {
+		e := &tr.Entries[i]
+		if err := tk.Consume(i, e, tasks.Slot(e.Task)); err != nil {
 			return nil, err
 		}
 	}
@@ -37,20 +41,22 @@ func Compute(tr *trace.Trace) (*Sets, error) {
 // trace needs no materialized entry slice.
 type Tracker struct {
 	s    *Sets
-	held map[trace.TaskID][]trace.LockID
+	held [][]trace.LockID // by task slot
 }
 
-// NewTracker returns a Tracker with no locks held.
-func NewTracker() *Tracker {
+// NewTracker returns a Tracker with no locks held over a trace's task
+// slots.
+func NewTracker(tasks *trace.TaskTable) *Tracker {
 	return &Tracker{
 		s:    &Sets{at: make(map[int][]trace.LockID)},
-		held: make(map[trace.TaskID][]trace.LockID),
+		held: make([][]trace.LockID, tasks.Len()),
 	}
 }
 
-// Consume processes entry i. Entries must arrive in order.
-func (tk *Tracker) Consume(i int, e *trace.Entry) error {
-	cur := tk.held[e.Task]
+// Consume processes entry i, whose task has slot slot (see
+// trace.TaskTable). Entries must arrive in order.
+func (tk *Tracker) Consume(i int, e *trace.Entry, slot int32) error {
+	cur := tk.held[slot]
 	switch e.Op {
 	case trace.OpLock:
 		for _, l := range cur {
@@ -62,7 +68,7 @@ func (tk *Tracker) Consume(i int, e *trace.Entry) error {
 		copy(next, cur)
 		next[len(cur)] = e.Lock
 		sort.Slice(next, func(a, b int) bool { return next[a] < next[b] })
-		tk.held[e.Task] = next
+		tk.held[slot] = next
 		cur = next
 	case trace.OpUnlock:
 		idx := -1
@@ -78,7 +84,7 @@ func (tk *Tracker) Consume(i int, e *trace.Entry) error {
 		next := make([]trace.LockID, 0, len(cur)-1)
 		next = append(next, cur[:idx]...)
 		next = append(next, cur[idx+1:]...)
-		tk.held[e.Task] = next
+		tk.held[slot] = next
 		cur = next
 	}
 	if len(cur) > 0 {

@@ -236,12 +236,13 @@ func decodeBinaryHeader(br byteReader) (*Trace, int, error) {
 	if ver != formatVersion {
 		return nil, 0, fmt.Errorf("trace: decode: unsupported version %d", ver)
 	}
-	tr := New()
-
 	ntasks, err := getUvarint(br)
 	if err != nil {
 		return nil, 0, err
 	}
+	// The records go to a slice first so the map is sized from the
+	// records actually read, not from a count a hostile header states.
+	tasks := make([]TaskInfo, 0, min(ntasks, maxPrealloc))
 	for i := uint64(0); i < ntasks; i++ {
 		var ti TaskInfo
 		id, err := getUvarint(br)
@@ -274,28 +275,20 @@ func decodeBinaryHeader(br byteReader) (*Trace, int, error) {
 		ti.Looper = TaskID(looper)
 		ti.Queue = QueueID(queue)
 		ti.Proc = int32(proc)
+		tasks = append(tasks, ti)
+	}
+	tr := &Trace{Tasks: make(map[TaskID]TaskInfo, len(tasks))}
+	for _, ti := range tasks {
 		tr.Tasks[ti.ID] = ti
 	}
-	fields, err := getNameTable(br)
-	if err != nil {
+	if tr.Fields, err = getNameTable[FieldID](br); err != nil {
 		return nil, 0, err
 	}
-	methods, err := getNameTable(br)
-	if err != nil {
+	if tr.Methods, err = getNameTable[MethodID](br); err != nil {
 		return nil, 0, err
 	}
-	queues, err := getNameTable(br)
-	if err != nil {
+	if tr.Queues, err = getNameTable[QueueID](br); err != nil {
 		return nil, 0, err
-	}
-	for k, v := range fields {
-		tr.Fields[FieldID(k)] = v
-	}
-	for k, v := range methods {
-		tr.Methods[MethodID(k)] = v
-	}
-	for k, v := range queues {
-		tr.Queues[QueueID(k)] = v
 	}
 
 	n, err := getUvarint(br)
@@ -498,7 +491,9 @@ func putNameTable(bw *bufio.Writer, m map[uint32]string) {
 	}
 }
 
-func getNameTable(br byteReader) (map[uint32]string, error) {
+// getNameTable reads one name table. The map is presized from the
+// stated size, capped as every decode preallocation is.
+func getNameTable[K ~uint32](br byteReader) (map[K]string, error) {
 	n, err := getUvarint(br)
 	if err != nil {
 		return nil, err
@@ -506,7 +501,7 @@ func getNameTable(br byteReader) (map[uint32]string, error) {
 	if n > 1<<24 {
 		return nil, fmt.Errorf("trace: decode: absurd table size %d", n)
 	}
-	m := make(map[uint32]string, n)
+	m := make(map[K]string, min(n, maxPrealloc))
 	for i := uint64(0); i < n; i++ {
 		k, err := getUvarint(br)
 		if err != nil {
@@ -516,7 +511,7 @@ func getNameTable(br byteReader) (map[uint32]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[uint32(k)] = v
+		m[K(k)] = v
 	}
 	return m, nil
 }

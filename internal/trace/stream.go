@@ -221,13 +221,18 @@ func (d *StreamDecoder) textEntry(e *Entry) error {
 	return nil
 }
 
+// maxPrealloc caps every allocation sized from a count a trace
+// header states, so a hostile header cannot make a tiny input
+// allocate much; a larger trace grows past it as it decodes.
+const maxPrealloc = 1 << 20
+
 // collect drains a StreamDecoder into its header trace, producing the
 // same *Trace the historical batch decoders returned. Each entry is
 // decoded in place in its Entries slot.
 func collect(d *StreamDecoder) (*Trace, error) {
 	tr := d.hdr
 	if d.declared > 0 {
-		tr.Entries = make([]Entry, 0, min(d.declared, 1<<20))
+		tr.Entries = make([]Entry, 0, min(d.declared, maxPrealloc))
 	}
 	for d.next < d.declared {
 		tr.Entries = append(tr.Entries, Entry{})

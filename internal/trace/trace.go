@@ -134,9 +134,9 @@ func (tr *Trace) EventCount() int {
 //
 // It returns the first violation found, or nil.
 func (tr *Trace) Validate() error {
-	v := NewValidator(tr)
+	v := NewValidator(tr, NewTaskTable(tr))
 	for i := range tr.Entries {
-		if err := v.Entry(&tr.Entries[i]); err != nil {
+		if _, err := v.Entry(&tr.Entries[i]); err != nil {
 			return err
 		}
 	}
@@ -145,20 +145,26 @@ func (tr *Trace) Validate() error {
 
 // Validator performs the Validate checks incrementally, one entry at
 // a time, so a streamed trace can be validated without materializing
-// Entries. State is O(tasks), not O(trace). The header trace supplies
-// the task table; Finish runs the end-of-trace table checks.
+// Entries. State is O(tasks), not O(trace): one record per slot of
+// the header's task table. The header trace supplies the task table;
+// Finish runs the end-of-trace table checks.
 type Validator struct {
 	tr       *Trace
-	states   map[TaskID]*taskValState
+	tasks    *TaskTable
+	states   []taskValState // by slot
 	lastTime int64
 	i        int
 
-	// The previous entry's task, already checked declared, and its
-	// state. Tasks run in long stretches, so the Tasks and states
-	// lookups run once per stretch instead of once per entry. NoTask
+	// undeclared holds the state of fork/send targets the header does
+	// not declare. Such a target can never run, so only its creation
+	// is tracked.
+	undeclared map[TaskID]*taskValState
+
+	// The previous entry's task and its slot: tasks run in long
+	// stretches, so Entry resolves a slot once per stretch. NoTask
 	// never matches: entries with it are rejected first.
 	runTask TaskID
-	runSt   *taskValState
+	runSlot int32
 }
 
 // taskValState is one task's validation state. A fork or send
@@ -170,100 +176,128 @@ type taskValState struct {
 	created int
 }
 
-// NewValidator returns a Validator over the header's task table.
-func NewValidator(header *Trace) *Validator {
+// NewValidator returns a Validator over the header's task table;
+// tasks must be NewTaskTable(header), built once per trace.
+func NewValidator(header *Trace, tasks *TaskTable) *Validator {
 	return &Validator{
 		tr:     header,
-		states: make(map[TaskID]*taskValState),
+		tasks:  tasks,
+		states: make([]taskValState, tasks.Len()),
 	}
 }
 
-// Entry checks the next entry in sequence; messages are identical to
-// the batch Validate. Messages format e.String() rather than e: passing
-// the pointer to fmt would make it escape, moving a streaming caller's
-// by-value entry to the heap on every call.
-func (v *Validator) Entry(e *Entry) error {
+// Entry checks the next entry in sequence and returns the slot of its
+// task in the validator's TaskTable, which the per-entry passes index
+// their state by; messages are identical to the batch Validate.
+// Messages format e.String() rather than e: passing the pointer to fmt
+// would make it escape, moving a streaming caller's by-value entry to
+// the heap on every call.
+func (v *Validator) Entry(e *Entry) (int32, error) {
 	tr, i := v.tr, v.i
 	v.i++
 	if !e.Op.Valid() {
-		return fmt.Errorf("trace: entry %d: invalid op %d", i, uint8(e.Op))
+		return -1, fmt.Errorf("trace: entry %d: invalid op %d", i, uint8(e.Op))
 	}
 	if e.Task == NoTask {
-		return fmt.Errorf("trace: entry %d (%s): zero task id", i, e.String())
+		return -1, fmt.Errorf("trace: entry %d (%s): zero task id", i, e.String())
 	}
-	st := v.runSt
 	if e.Task != v.runTask {
-		if _, ok := tr.Tasks[e.Task]; !ok {
-			return fmt.Errorf("trace: entry %d (%s): task t%d not declared", i, e.String(), e.Task)
-		}
-		st = v.states[e.Task]
-		if st == nil {
-			st = &taskValState{}
-			v.states[e.Task] = st
-		}
-		v.runTask, v.runSt = e.Task, st
+		v.runTask, v.runSlot = e.Task, v.tasks.Slot(e.Task)
 	}
+	slot := v.runSlot
+	if slot < 0 {
+		return -1, fmt.Errorf("trace: entry %d (%s): task t%d not declared", i, e.String(), e.Task)
+	}
+	st := &v.states[slot]
 	if e.Time < v.lastTime {
-		return fmt.Errorf("trace: entry %d (%s): time goes backwards (%d < %d)", i, e.String(), e.Time, v.lastTime)
+		return -1, fmt.Errorf("trace: entry %d (%s): time goes backwards (%d < %d)", i, e.String(), e.Time, v.lastTime)
 	}
 	v.lastTime = e.Time
 
 	switch e.Op {
 	case OpBegin:
 		if st.begun {
-			return fmt.Errorf("trace: entry %d: task %s begins twice", i, tr.TaskName(e.Task))
+			return -1, fmt.Errorf("trace: entry %d: task %s begins twice", i, tr.TaskName(e.Task))
 		}
 		st.begun = true
 	case OpEnd:
 		if !st.begun {
-			return fmt.Errorf("trace: entry %d: task %s ends before beginning", i, tr.TaskName(e.Task))
+			return -1, fmt.Errorf("trace: entry %d: task %s ends before beginning", i, tr.TaskName(e.Task))
 		}
 		if st.ended {
-			return fmt.Errorf("trace: entry %d: task %s ends twice", i, tr.TaskName(e.Task))
+			return -1, fmt.Errorf("trace: entry %d: task %s ends twice", i, tr.TaskName(e.Task))
 		}
 		st.ended = true
 	default:
 		if !st.begun {
-			return fmt.Errorf("trace: entry %d (%s): operation before begin of %s", i, e.String(), tr.TaskName(e.Task))
+			return -1, fmt.Errorf("trace: entry %d (%s): operation before begin of %s", i, e.String(), tr.TaskName(e.Task))
 		}
 		if st.ended {
-			return fmt.Errorf("trace: entry %d (%s): operation after end of %s", i, e.String(), tr.TaskName(e.Task))
+			return -1, fmt.Errorf("trace: entry %d (%s): operation after end of %s", i, e.String(), tr.TaskName(e.Task))
 		}
 	}
 	switch e.Op {
 	case OpFork, OpSend, OpSendAtFront:
 		if e.Target == NoTask {
-			return fmt.Errorf("trace: entry %d (%s): zero target", i, e.String())
+			return -1, fmt.Errorf("trace: entry %d (%s): zero target", i, e.String())
 		}
-		tst := v.states[e.Target]
+		tst := v.target(e.Target)
 		switch {
-		case tst == nil:
-			tst = &taskValState{}
-			v.states[e.Target] = tst
 		case tst.begun:
-			return fmt.Errorf("trace: entry %d (%s): target t%d already began", i, e.String(), e.Target)
+			return -1, fmt.Errorf("trace: entry %d (%s): target t%d already began", i, e.String(), e.Target)
 		case tst.created != 0:
-			return fmt.Errorf("trace: entry %d (%s): task t%d created twice (first at %d)", i, e.String(), e.Target, tst.created-1)
+			return -1, fmt.Errorf("trace: entry %d (%s): task t%d created twice (first at %d)", i, e.String(), e.Target, tst.created-1)
 		}
 		tst.created = i + 1
 	}
-	return nil
+	return slot, nil
 }
 
-// Finish runs the end-of-trace task-table checks.
+// target returns the state of a fork/send target.
+func (v *Validator) target(t TaskID) *taskValState {
+	if s := v.tasks.Slot(t); s >= 0 {
+		return &v.states[s]
+	}
+	if v.undeclared == nil {
+		v.undeclared = make(map[TaskID]*taskValState)
+	}
+	st := v.undeclared[t]
+	if st == nil {
+		st = &taskValState{}
+		v.undeclared[t] = st
+	}
+	return st
+}
+
+// Finish runs the end-of-trace task-table checks. When several tasks
+// fail them it reports the one with the lowest ID, so repeated runs
+// over one trace report the same fault.
 func (v *Validator) Finish() error {
-	tr := v.tr
-	for id, ti := range tr.Tasks {
-		if ti.ID != 0 && ti.ID != id {
-			return fmt.Errorf("trace: task table entry %d has mismatched ID %d", id, ti.ID)
+	var bad TaskID
+	var err error
+	for id, ti := range v.tr.Tasks {
+		if err != nil && id > bad {
+			continue
 		}
-		if ti.Kind == KindEvent {
-			if ti.Looper == NoTask {
-				return fmt.Errorf("trace: event %s has no looper", tr.TaskName(id))
-			}
-			if lt, ok := tr.Tasks[ti.Looper]; !ok || lt.Kind != KindThread {
-				return fmt.Errorf("trace: event %s: looper t%d is not a thread", tr.TaskName(id), ti.Looper)
-			}
+		if e := v.taskFault(id, ti); e != nil {
+			bad, err = id, e
+		}
+	}
+	return err
+}
+
+// taskFault checks one task table record.
+func (v *Validator) taskFault(id TaskID, ti TaskInfo) error {
+	tr := v.tr
+	if ti.ID != 0 && ti.ID != id {
+		return fmt.Errorf("trace: task table entry %d has mismatched ID %d", id, ti.ID)
+	}
+	if ti.Kind == KindEvent {
+		if ti.Looper == NoTask {
+			return fmt.Errorf("trace: event %s has no looper", tr.TaskName(id))
+		}
+		if lt, ok := tr.Tasks[ti.Looper]; !ok || lt.Kind != KindThread {
+			return fmt.Errorf("trace: event %s: looper t%d is not a thread", tr.TaskName(id), ti.Looper)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -169,6 +170,81 @@ func TestValidateRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestValidateFinishStable pins the end-of-trace check to one fault
+// when several tasks fail it: the lowest-ID task's, on every call,
+// whatever order the task map iterates in.
+func TestValidateFinishStable(t *testing.T) {
+	tr := New()
+	for id := TaskID(2); id <= 9; id++ {
+		tr.Tasks[id] = TaskInfo{ID: id, Kind: KindEvent, Name: fmt.Sprintf("ev%d", id)}
+	}
+	// A lower-ID event failing the other looper check still wins.
+	tr.Tasks[1] = TaskInfo{ID: 1, Kind: KindEvent, Name: "first", Looper: 30}
+	const want = "trace: event first: looper t30 is not a thread"
+	for range 50 {
+		if err := tr.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate() = %v, want %q", err, want)
+		}
+	}
+	delete(tr.Tasks, 1)
+	for range 50 {
+		if err := tr.Validate(); err == nil || err.Error() != "trace: event ev2 has no looper" {
+			t.Fatalf("Validate() = %v, want the ev2 fault", err)
+		}
+	}
+}
+
+// TestTaskTable covers the identity and the remapped slot layouts.
+func TestTaskTable(t *testing.T) {
+	dense := validTrace()
+	tt := NewTaskTable(dense)
+	if tt.Len() != 4 || tt.slots != nil {
+		t.Fatalf("dense table: Len %d, remapped %v", tt.Len(), tt.slots != nil)
+	}
+	for id := TaskID(0); id <= 5; id++ {
+		want := int32(id) - 1
+		if id == 0 || id == 5 {
+			want = -1
+		}
+		if got := tt.Slot(id); got != want {
+			t.Errorf("dense Slot(%d) = %d, want %d", id, got, want)
+		}
+	}
+	if tt.Looper(tt.Slot(4)) != tt.Slot(1) || tt.Looper(tt.Slot(2)) != -1 {
+		t.Error("dense table: wrong looper slots")
+	}
+
+	sparse := New()
+	ids := []TaskID{0xFFFFFFFE, 1 << 31, 1 << 20, 1}
+	for _, id := range ids {
+		sparse.Tasks[id] = TaskInfo{ID: id, Kind: KindThread}
+	}
+	sparse.Tasks[1<<20] = TaskInfo{ID: 1 << 20, Kind: KindEvent, Looper: 0xFFFFFFFE}
+	tt = NewTaskTable(sparse)
+	if tt.Len() != 4 || tt.slots == nil {
+		t.Fatalf("sparse table: Len %d, remapped %v", tt.Len(), tt.slots != nil)
+	}
+	for s, id := range []TaskID{1, 1 << 20, 1 << 31, 0xFFFFFFFE} {
+		if tt.Slot(id) != int32(s) {
+			t.Errorf("sparse: slot of %#x = %d, want %d", id, tt.Slot(id), s)
+		}
+	}
+	if tt.Slot(2) != -1 || tt.Slot(0) != -1 {
+		t.Error("sparse table slots an undeclared task")
+	}
+	if tt.Looper(1) != 3 || tt.Looper(0) != -1 {
+		t.Error("sparse table: wrong looper slots")
+	}
+
+	// AllTasks also slots undeclared loopers and the tasks entries name.
+	sparse.Tasks[1<<20] = TaskInfo{ID: 1 << 20, Kind: KindEvent, Looper: 7}
+	sparse.Entries = []Entry{{Task: 0, Op: OpBegin}, {Task: 5, Op: OpBegin}, {Task: 1, Op: OpBegin}, {Task: 5, Op: OpEnd}}
+	tt = AllTasks(sparse)
+	if tt.Len() != 7 || tt.Slot(0) != 0 || tt.Slot(5) != 2 || tt.Slot(7) != 3 || tt.Looper(tt.Slot(1<<20)) != 3 {
+		t.Errorf("AllTasks: Len %d, slots of 0, 5 and 7: %d %d %d", tt.Len(), tt.Slot(0), tt.Slot(5), tt.Slot(7))
 	}
 }
 
