@@ -5,10 +5,14 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"cafa/internal/analysis"
 	"cafa/internal/apps"
+	"cafa/internal/detect"
+	"cafa/internal/hb"
+	"cafa/internal/lockset"
 	"cafa/internal/report"
 	"cafa/internal/sim"
 	"cafa/internal/synth"
@@ -170,5 +174,32 @@ func TestSparseTaskIDsBoundedHeap(t *testing.T) {
 	if got > limit {
 		t.Errorf("analysis of %d tasks at IDs up to %#x allocated %d bytes, want at most %d",
 			len(sparse.Tasks), uint32(0xFFFFFFFE), got, limit)
+	}
+}
+
+// TestStandaloneWrappersRejectUndeclaredTask: hb.Scan, lockset.Compute
+// and detect.Detect slot tasks from the header as Ingest does, so an
+// entry whose task the header does not declare is an error, not a
+// task they slot on the fly.
+func TestStandaloneWrappersRejectUndeclaredTask(t *testing.T) {
+	tr := synth.Trace(synth.Config{Chain: 1, EventsPer: 2, FreeThreads: 1})
+	g, err := hb.Build(tr, hb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *tr
+	bad.Entries = slices.Insert(slices.Clone(tr.Entries), 1, trace.Entry{Task: 99, Op: trace.OpBegin})
+	const want = "trace: entry 1: task t99 not declared"
+	for name, run := range map[string]func() error{
+		"hb.Scan":         func() error { _, err := hb.Scan(&bad); return err },
+		"lockset.Compute": func() error { _, err := lockset.Compute(&bad); return err },
+		"detect.Detect": func() error {
+			_, err := detect.Detect(detect.Input{Trace: &bad, Graph: g}, detect.Options{})
+			return err
+		},
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
 	}
 }

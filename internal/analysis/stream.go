@@ -70,8 +70,8 @@ func (s *entries) Next() (*trace.Entry, error) {
 }
 
 // decoded is the Source over a stream decoder. Each entry is decoded
-// straight into its final home — an appended slot of the header
-// trace when retain is set, else one scratch entry — and never
+// straight into its final home — a new slot of the header trace's
+// Entries when retain is set, else one scratch entry — and never
 // copied.
 type decoded struct {
 	dec     *trace.StreamDecoder
@@ -81,31 +81,22 @@ type decoded struct {
 
 // Decoded returns the Source over dec. Options.Evidence and
 // Options.Naive walk the materialized trace, so under them every
-// entry is retained in the header trace, preallocated from the
-// declared count (capped as trace.Decode caps it against a hostile
-// header); otherwise each entry is dropped once the passes have read
-// it.
+// entry is retained in the header trace (trace.StreamDecoder's
+// NextRetained); otherwise each entry is dropped once the passes have
+// read it.
 func (p *Pipeline) Decoded(dec *trace.StreamDecoder) Source {
-	d := &decoded{dec: dec, retain: p.opts.Evidence || p.opts.Naive}
-	if d.retain {
-		dec.Header().Entries = make([]trace.Entry, 0, min(dec.Len(), 1<<20))
-	}
-	return d
+	return &decoded{dec: dec, retain: p.opts.Evidence || p.opts.Naive}
 }
 
 func (d *decoded) Header() *trace.Trace { return d.dec.Header() }
 func (d *decoded) Len() int             { return d.dec.Len() }
 
 func (d *decoded) Next() (*trace.Entry, error) {
-	e := &d.scratch
 	if d.retain {
-		tr := d.dec.Header()
-		tr.Entries = append(tr.Entries, trace.Entry{})
-		e = &tr.Entries[len(tr.Entries)-1]
-	} else {
-		d.scratch = trace.Entry{}
+		return d.dec.NextRetained()
 	}
-	return e, d.dec.Next(e)
+	d.scratch = trace.Entry{}
+	return &d.scratch, d.dec.Next(&d.scratch)
 }
 
 // Ingest is the one per-entry loop: it pulls every entry from src,

@@ -222,11 +222,10 @@ func assertCallStacksMatchRef(t *testing.T, tr *trace.Trace, idxs []int) {
 
 // extract runs the Extractor over a materialized trace.
 func extract(tr *trace.Trace) *extraction {
-	tasks := trace.AllTasks(tr)
+	tasks := trace.NewTaskTable(tr)
 	x := NewExtractor(tasks, nil)
-	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		x.Consume(i, e, tasks.Slot(e.Task))
+	if err := tasks.Sweep(tr, func(i int, e *trace.Entry, s int32) error { x.Consume(i, e, s); return nil }); err != nil {
+		panic(err) // the app models declare every task
 	}
 	return x.ex
 }

@@ -247,17 +247,19 @@ type Input struct {
 	Collector Collector
 }
 
-// Detect runs the use-free race detector (§4.2, §4.3).
+// Detect runs the use-free race detector (§4.2, §4.3). The trace need
+// not have been validated, but every task an entry names must be
+// declared: Detect fails on the first that is not.
 func Detect(in Input, opts Options) (*Result, error) {
 	if in.Trace == nil || in.Graph == nil {
 		return nil, fmt.Errorf("detect: trace and graph are required")
 	}
 	tr := in.Trace
-	tasks := trace.AllTasks(tr)
+	tasks := trace.NewTaskTable(tr)
 	x := NewExtractor(tasks, in.DerefSources)
-	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		x.Consume(i, e, tasks.Slot(e.Task))
+	err := tasks.Sweep(tr, func(i int, e *trace.Entry, s int32) error { x.Consume(i, e, s); return nil })
+	if err != nil {
+		return nil, err
 	}
 	return DetectExtracted(in, x, opts)
 }

@@ -66,16 +66,13 @@ type Prescan struct {
 // Scan performs the shared single pass over the trace: reduced-node
 // collection plus the model-independent base edges. Both causality
 // model variants build from the same Prescan without rescanning the
-// trace, which need not have been validated: every task an entry
-// names gets a slot.
+// trace. The trace need not have been validated, but every task an
+// entry names must be declared: Scan fails on the first that is not.
 func Scan(tr *trace.Trace) (*Prescan, error) {
-	tasks := trace.AllTasks(tr)
+	tasks := trace.NewTaskTable(tr)
 	sc := NewScanner(tr, tasks)
-	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		if err := sc.Consume(e, tasks.Slot(e.Task)); err != nil {
-			return nil, err
-		}
+	if err := tasks.Sweep(tr, func(_ int, e *trace.Entry, s int32) error { return sc.Consume(e, s) }); err != nil {
+		return nil, err
 	}
 	return sc.Finish(), nil
 }

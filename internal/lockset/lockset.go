@@ -23,16 +23,13 @@ type Sets struct {
 }
 
 // Compute scans the trace once and records held-lock snapshots. The
-// trace need not have been validated: every task an entry names gets
-// a slot.
+// trace need not have been validated, but every task an entry names
+// must be declared: Compute fails on the first that is not.
 func Compute(tr *trace.Trace) (*Sets, error) {
-	tasks := trace.AllTasks(tr)
+	tasks := trace.NewTaskTable(tr)
 	tk := NewTracker(tasks)
-	for i := range tr.Entries {
-		e := &tr.Entries[i]
-		if err := tk.Consume(i, e, tasks.Slot(e.Task)); err != nil {
-			return nil, err
-		}
+	if err := tasks.Sweep(tr, tk.Consume); err != nil {
+		return nil, err
 	}
 	return tk.Sets(), nil
 }

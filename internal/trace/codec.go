@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"strings"
 
 	"cafa/internal/obs"
 )
@@ -218,88 +219,144 @@ func Decode(r io.Reader) (*Trace, error) {
 	return collect(d)
 }
 
-// decodeBinaryHeader reads magic, version, the task table, the name
-// tables, and the declared entry count. The returned trace has no
-// Entries; StreamLen carries the declared count.
-func decodeBinaryHeader(br byteReader) (*Trace, int, error) {
-	var mg [4]byte
-	if _, err := io.ReadFull(br, mg[:]); err != nil {
-		return nil, 0, fmt.Errorf("trace: decode: %w", err)
+// newBinaryStream reads the binary header from br: magic, version,
+// the task table, the name tables and the declared entry count, which
+// the header trace's StreamLen carries. It reads through one window,
+// as entries do, refilled whenever what is left of it might not hold
+// the next field. The first failed read sets d.err and turns every
+// later read into a no-op, so the header tests d.err only where a
+// loop or a check depends on what it read.
+func newBinaryStream(br *bufio.Reader) (*StreamDecoder, error) {
+	d := &StreamDecoder{format: FormatBinary, br: br}
+	var w entryWindow
+	d.refill(&w, len(magic))
+	if len(w.buf) < len(magic) {
+		return nil, fmt.Errorf("trace: decode: %w", w.short(len(w.buf) > 0))
 	}
-	if string(mg[:]) != magic {
-		return nil, 0, errors.New("trace: decode: bad magic")
+	if string(w.buf[:len(magic)]) != magic {
+		return nil, errors.New("trace: decode: bad magic")
 	}
-	ver, err := getUvarint(br)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ver != formatVersion {
-		return nil, 0, fmt.Errorf("trace: decode: unsupported version %d", ver)
-	}
-	ntasks, err := getUvarint(br)
-	if err != nil {
-		return nil, 0, err
+	w.pos = len(magic)
+	if ver := d.uvarint(&w); d.err == nil && ver != formatVersion {
+		return nil, fmt.Errorf("trace: decode: unsupported version %d", ver)
 	}
 	// The records go to a slice first so the map is sized from the
 	// records actually read, not from a count a hostile header states.
+	ntasks := d.uvarint(&w)
 	tasks := make([]TaskInfo, 0, min(ntasks, maxPrealloc))
-	for i := uint64(0); i < ntasks; i++ {
-		var ti TaskInfo
-		id, err := getUvarint(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		kind, err := getUvarint(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		name, err := getString(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		looper, err := getUvarint(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		queue, err := getUvarint(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		proc, err := getVarint(br)
-		if err != nil {
-			return nil, 0, err
-		}
-		ti.ID = TaskID(id)
-		ti.Kind = TaskKind(kind)
-		ti.Name = name
-		ti.Looper = TaskID(looper)
-		ti.Queue = QueueID(queue)
-		ti.Proc = int32(proc)
-		tasks = append(tasks, ti)
+	for i := uint64(0); i < ntasks && d.err == nil; i++ {
+		tasks = append(tasks, TaskInfo{
+			ID:     TaskID(d.uvarint(&w)),
+			Kind:   TaskKind(d.uvarint(&w)),
+			Name:   d.str(&w),
+			Looper: TaskID(d.uvarint(&w)),
+			Queue:  QueueID(d.uvarint(&w)),
+			Proc:   int32(unzigzag(d.uvarint(&w))),
+		})
 	}
 	tr := &Trace{Tasks: make(map[TaskID]TaskInfo, len(tasks))}
 	for _, ti := range tasks {
+		if _, dup := tr.Tasks[ti.ID]; dup && d.err == nil {
+			d.err = fmt.Errorf("trace: decode: duplicate task %d", ti.ID)
+		}
 		tr.Tasks[ti.ID] = ti
 	}
-	if tr.Fields, err = getNameTable[FieldID](br); err != nil {
-		return nil, 0, err
+	tr.Fields = nameTable[FieldID](d, &w, "fields")
+	tr.Methods = nameTable[MethodID](d, &w, "methods")
+	tr.Queues = nameTable[QueueID](d, &w, "queues")
+	n := d.uvarint(&w)
+	if d.err == nil && n > math.MaxInt32 {
+		d.err = fmt.Errorf("trace: decode: absurd entry count %d", n)
 	}
-	if tr.Methods, err = getNameTable[MethodID](br); err != nil {
-		return nil, 0, err
+	if d.err != nil {
+		return nil, d.err
 	}
-	if tr.Queues, err = getNameTable[QueueID](br); err != nil {
-		return nil, 0, err
-	}
-
-	n, err := getUvarint(br)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n > math.MaxInt32 {
-		return nil, 0, fmt.Errorf("trace: decode: absurd entry count %d", n)
-	}
+	d.consume(w.pos)
 	tr.StreamLen = int(n)
-	return tr, int(n), nil
+	d.hdr, d.declared = tr, int(n)
+	return d, nil
+}
+
+// refill consumes the bytes w has read and makes w a new window of at
+// least n bytes, unless the reader fails first. Once it has failed,
+// the window is just what bufio still holds, and the saved error
+// stands for the bytes past it, as a byte reader would see.
+func (d *StreamDecoder) refill(w *entryWindow, n int) {
+	d.consume(w.pos)
+	*w = entryWindow{}
+	if d.rerr == nil {
+		w.buf, d.rerr = d.br.Peek(n)
+	} else {
+		w.buf, _ = d.br.Peek(d.br.Buffered())
+	}
+	w.rerr = d.rerr
+}
+
+// uvarint reads one header varint from w; it returns 0 once d.err is
+// set.
+func (d *StreamDecoder) uvarint(w *entryWindow) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(w.buf)-w.pos < binary.MaxVarintLen64 {
+		d.refill(w, maxEntryLen)
+	}
+	v := w.uvarint()
+	d.err = w.fail
+	return v
+}
+
+// str reads one length-prefixed header string into a builder grown to
+// its length, so it costs one allocation: straight out of the window
+// when the window holds it, else a window at a time, which reads
+// through a string longer than bufio's buffer.
+func (d *StreamDecoder) str(w *entryWindow) string {
+	n := d.uvarint(w)
+	if d.err == nil && n > 1<<20 {
+		d.err = fmt.Errorf("trace: decode: absurd string length %d", n)
+	}
+	if d.err != nil {
+		return ""
+	}
+	left := int(n)
+	var sb strings.Builder
+	sb.Grow(left)
+	for {
+		k := min(left, len(w.buf)-w.pos)
+		sb.Write(w.buf[w.pos : w.pos+k])
+		w.pos += k
+		left -= k
+		if left == 0 {
+			return sb.String()
+		}
+		d.refill(w, min(left, d.br.Size()))
+		if len(w.buf) == 0 {
+			d.err = w.short(sb.Len() > 0)
+			return ""
+		}
+	}
+}
+
+// nameTable reads one name table. The map is presized from the stated
+// size, capped as every decode preallocation is.
+func nameTable[K ~uint32](d *StreamDecoder, w *entryWindow, section string) map[K]string {
+	n := d.uvarint(w)
+	if d.err == nil && n > 1<<24 {
+		d.err = fmt.Errorf("trace: decode: absurd table size %d", n)
+	}
+	if d.err != nil {
+		return nil
+	}
+	m := make(map[K]string, min(n, maxPrealloc))
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		k := K(d.uvarint(w))
+		v := d.str(w)
+		if _, dup := m[k]; dup && d.err == nil {
+			d.err = fmt.Errorf("trace: decode: %s table: duplicate id %d", section, k)
+		}
+		m[k] = v
+	}
+	return m
 }
 
 // maxEntryLen bounds the bytes one binary entry occupies before it
@@ -312,11 +369,12 @@ const maxEntryLen = 1 + (2+14)*binary.MaxVarintLen64
 var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
 // entryWindow is a cursor over the bytes bufio's Peek returned for one
-// entry. The first failed read sets fail and turns every later read
-// into a no-op, so decodeEntry checks once at the end. A read past
-// the window's end fails with what a byte-at-a-time reader would have
-// hit there: rerr, the reader's error from Peek, with io.EOF turned
-// into io.ErrUnexpectedEOF after a varint's first byte.
+// entry or one header field. The first failed read sets fail and turns
+// every later read into a no-op, so decodeEntry checks once at the
+// end. A read past the window's end fails with what a byte-at-a-time
+// reader would have hit there: rerr, the reader's error from Peek,
+// with io.EOF turned into io.ErrUnexpectedEOF after a varint's first
+// byte.
 type entryWindow struct {
 	buf  []byte
 	pos  int
@@ -442,29 +500,6 @@ func putString(bw *bufio.Writer, s string) {
 	bw.WriteString(s) //nolint:errcheck
 }
 
-func getUvarint(br io.ByteReader) (uint64, error) {
-	return binary.ReadUvarint(br)
-}
-
-func getVarint(br io.ByteReader) (int64, error) {
-	return binary.ReadVarint(br)
-}
-
-func getString(br byteReader) (string, error) {
-	n, err := getUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("trace: decode: absurd string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
 func toU32Map[K ~uint32](m map[K]string) map[uint32]string {
 	out := make(map[uint32]string, len(m))
 	for k, v := range m {
@@ -489,29 +524,4 @@ func putNameTable(bw *bufio.Writer, m map[uint32]string) {
 		putUvarint(bw, uint64(k))
 		putString(bw, m[k])
 	}
-}
-
-// getNameTable reads one name table. The map is presized from the
-// stated size, capped as every decode preallocation is.
-func getNameTable[K ~uint32](br byteReader) (map[K]string, error) {
-	n, err := getUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<24 {
-		return nil, fmt.Errorf("trace: decode: absurd table size %d", n)
-	}
-	m := make(map[K]string, min(n, maxPrealloc))
-	for i := uint64(0); i < n; i++ {
-		k, err := getUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		v, err := getString(br)
-		if err != nil {
-			return nil, err
-		}
-		m[K(k)] = v
-	}
-	return m, nil
 }

@@ -109,6 +109,3 @@ type TaskInfo struct {
 	Queue  QueueID // for events: the queue it was drawn from
 	Proc   int32   // process index (IPC spans processes)
 }
-
-// IsEvent reports whether the task is an event.
-func (ti TaskInfo) IsEvent() bool { return ti.Kind == KindEvent }

@@ -7,20 +7,53 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/iotest"
 )
 
-// The byte-at-a-time binary entry decoder the window decoder replaced.
-// It reads every varint through binary.ReadUvarint over a posReader, so
-// its results and errors are what the format defines; the window
-// decoder must agree with it on any input.
+// The byte-at-a-time binary decoder the window decoder replaced, header
+// and entries. It reads every varint through binary.ReadUvarint and
+// every string through io.ReadFull over a posReader, so its results and
+// errors are what the format defines; the window decoder must agree
+// with it on any input.
 
-// decodeRef is Decode built on decodeEntryRef.
+// byteReader is what the binary header helpers need: varints read
+// byte-at-a-time, strings in bulk.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// posReader counts the bytes the binary header helpers consume from
+// the wrapped buffered reader, so the entry section's absolute offset
+// is known. It sits above bufio, so counting costs one add per read
+// and no extra copying.
+type posReader struct {
+	br *bufio.Reader
+	n  int64
+}
+
+func (p *posReader) ReadByte() (byte, error) {
+	b, err := p.br.ReadByte()
+	if err == nil {
+		p.n++
+	}
+	return b, err
+}
+
+func (p *posReader) Read(buf []byte) (int, error) {
+	n, err := p.br.Read(buf)
+	p.n += int64(n)
+	return n, err
+}
+
+// decodeRef is Decode built on decodeHeaderRef and decodeEntryRef.
 func decodeRef(r io.Reader) (*Trace, error) {
 	pr := &posReader{br: bufio.NewReader(r)}
-	tr, n, err := decodeBinaryHeader(pr)
+	tr, n, err := decodeHeaderRef(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -125,6 +158,144 @@ func decodeEntryRef(br byteReader) (Entry, error) {
 		}
 	}
 	return e, nil
+}
+
+// decodeHeaderRef reads magic, version, the task table, the name
+// tables, and the declared entry count. The returned trace has no
+// Entries; StreamLen carries the declared count.
+func decodeHeaderRef(br byteReader) (*Trace, int, error) {
+	var mg [4]byte
+	if _, err := io.ReadFull(br, mg[:]); err != nil {
+		return nil, 0, fmt.Errorf("trace: decode: %w", err)
+	}
+	if string(mg[:]) != magic {
+		return nil, 0, errors.New("trace: decode: bad magic")
+	}
+	ver, err := getUvarint(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	if ver != formatVersion {
+		return nil, 0, fmt.Errorf("trace: decode: unsupported version %d", ver)
+	}
+	ntasks, err := getUvarint(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The records go to a slice first so the map is sized from the
+	// records actually read, not from a count a hostile header states.
+	tasks := make([]TaskInfo, 0, min(ntasks, maxPrealloc))
+	for i := uint64(0); i < ntasks; i++ {
+		var ti TaskInfo
+		id, err := getUvarint(br)
+		if err != nil {
+			return nil, 0, err
+		}
+		kind, err := getUvarint(br)
+		if err != nil {
+			return nil, 0, err
+		}
+		name, err := getString(br)
+		if err != nil {
+			return nil, 0, err
+		}
+		looper, err := getUvarint(br)
+		if err != nil {
+			return nil, 0, err
+		}
+		queue, err := getUvarint(br)
+		if err != nil {
+			return nil, 0, err
+		}
+		proc, err := getVarint(br)
+		if err != nil {
+			return nil, 0, err
+		}
+		ti.ID = TaskID(id)
+		ti.Kind = TaskKind(kind)
+		ti.Name = name
+		ti.Looper = TaskID(looper)
+		ti.Queue = QueueID(queue)
+		ti.Proc = int32(proc)
+		tasks = append(tasks, ti)
+	}
+	tr := &Trace{Tasks: make(map[TaskID]TaskInfo, len(tasks))}
+	for _, ti := range tasks {
+		if _, dup := tr.Tasks[ti.ID]; dup {
+			return nil, 0, fmt.Errorf("trace: decode: duplicate task %d", ti.ID)
+		}
+		tr.Tasks[ti.ID] = ti
+	}
+	if tr.Fields, err = getNameTable[FieldID](br, "fields"); err != nil {
+		return nil, 0, err
+	}
+	if tr.Methods, err = getNameTable[MethodID](br, "methods"); err != nil {
+		return nil, 0, err
+	}
+	if tr.Queues, err = getNameTable[QueueID](br, "queues"); err != nil {
+		return nil, 0, err
+	}
+
+	n, err := getUvarint(br)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n > math.MaxInt32 {
+		return nil, 0, fmt.Errorf("trace: decode: absurd entry count %d", n)
+	}
+	tr.StreamLen = int(n)
+	return tr, int(n), nil
+}
+
+func getUvarint(br io.ByteReader) (uint64, error) {
+	return binary.ReadUvarint(br)
+}
+
+func getVarint(br io.ByteReader) (int64, error) {
+	return binary.ReadVarint(br)
+}
+
+func getString(br byteReader) (string, error) {
+	n, err := getUvarint(br)
+	if err != nil {
+		return "", err
+	}
+	if n > 1<<20 {
+		return "", fmt.Errorf("trace: decode: absurd string length %d", n)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return "", err
+	}
+	return string(buf), nil
+}
+
+// getNameTable reads one name table. The map is presized from the
+// stated size, capped as every decode preallocation is.
+func getNameTable[K ~uint32](br byteReader, section string) (map[K]string, error) {
+	n, err := getUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if n > 1<<24 {
+		return nil, fmt.Errorf("trace: decode: absurd table size %d", n)
+	}
+	m := make(map[K]string, min(n, maxPrealloc))
+	for i := uint64(0); i < n; i++ {
+		k, err := getUvarint(br)
+		if err != nil {
+			return nil, err
+		}
+		v, err := getString(br)
+		if err != nil {
+			return nil, err
+		}
+		if _, dup := m[K(k)]; dup {
+			return nil, fmt.Errorf("trace: decode: %s table: duplicate id %d", section, K(k))
+		}
+		m[K(k)] = v
+	}
+	return m, nil
 }
 
 // decodeNext is Decode through StreamDecoder.Next.
@@ -237,11 +408,84 @@ func withCount(head []byte, count int, entries ...[]byte) []byte {
 	return out
 }
 
+// rawHeader is a binary or text header as lists, so it can declare an
+// ID twice, which a Trace's maps cannot. Its entry count is zero.
+type rawHeader struct {
+	tasks  []TaskInfo
+	fields []uint32 // field IDs, each named "f"
+}
+
+func (h rawHeader) binary() []byte {
+	b := binary.AppendUvarint([]byte(magic), formatVersion)
+	b = binary.AppendUvarint(b, uint64(len(h.tasks)))
+	for _, ti := range h.tasks {
+		b = binary.AppendUvarint(b, uint64(ti.ID))
+		b = binary.AppendUvarint(b, uint64(ti.Kind))
+		b = binary.AppendUvarint(b, uint64(len(ti.Name)))
+		b = append(b, ti.Name...)
+		b = binary.AppendUvarint(b, uint64(ti.Looper))
+		b = binary.AppendUvarint(b, uint64(ti.Queue))
+		b = binary.AppendVarint(b, int64(ti.Proc))
+	}
+	b = binary.AppendUvarint(b, uint64(len(h.fields)))
+	for _, id := range h.fields {
+		b = binary.AppendUvarint(b, uint64(id))
+		b = append(b, 1, 'f')
+	}
+	return append(b, 0, 0, 0) // no methods, no queues, no entries
+}
+
+func (h rawHeader) text() string {
+	s := fmt.Sprintf("%s %d\ntasks %d\n", textMagic, textVersion, len(h.tasks))
+	for _, ti := range h.tasks {
+		s += fmt.Sprintf("task %d kind=%d looper=%d queue=%d proc=%d %q\n", ti.ID, ti.Kind, ti.Looper, ti.Queue, ti.Proc, ti.Name)
+	}
+	s += fmt.Sprintf("fields %d\n", len(h.fields))
+	for _, id := range h.fields {
+		s += fmt.Sprintf("%d \"f\"\n", id)
+	}
+	return s + "methods 0\nqueues 0\nentries 0\n"
+}
+
+// duplicateHeaders declare a task twice and a field ID twice; each
+// names the text of the error both formats report.
+var duplicateHeaders = []struct {
+	h    rawHeader
+	want string
+}{
+	{rawHeader{tasks: []TaskInfo{{ID: 1, Name: "a"}, {ID: 2, Name: "b"}, {ID: 1, Name: "c"}}}, "duplicate task 1"},
+	{rawHeader{tasks: []TaskInfo{{ID: 1, Name: "a"}}, fields: []uint32{3, 7, 7}}, "fields table: duplicate id 7"},
+}
+
+// TestDuplicateHeaderIDs feeds one logical header through both wire
+// formats: each rejects a task or name-table ID declared twice.
+func TestDuplicateHeaderIDs(t *testing.T) {
+	for _, c := range duplicateHeaders {
+		if _, err := Decode(bytes.NewReader(c.h.binary())); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("binary: error %v, want %q", err, c.want)
+		}
+		if _, err := DecodeText(strings.NewReader(c.h.text())); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("text: error %v, want %q", err, c.want)
+		}
+		// Without the duplicate both decode.
+		ok := c.h
+		ok.tasks, ok.fields = ok.tasks[:1], ok.fields[:min(len(ok.fields), 1)]
+		if _, err := Decode(bytes.NewReader(ok.binary())); err != nil {
+			t.Errorf("binary without the duplicate: %v", err)
+		}
+		if _, err := DecodeText(strings.NewReader(ok.text())); err != nil {
+			t.Errorf("text without the duplicate: %v", err)
+		}
+	}
+}
+
 // referenceSeeds are the inputs the differential must cover: a trace
-// past the 4 KiB buffer, the last entry cut at every byte, overflowing
-// varints (eleven bytes; ten continuation bytes at end of input; a
-// tenth byte above 1), an invalid op, and a declared count above the
-// real one.
+// past the 4 KiB buffer, every prefix of a header, a header string
+// longer than bufio's buffer and cuts inside it, headers declaring an
+// ID twice, header varints across window edges, the last entry cut at
+// every byte, overflowing varints (eleven bytes; ten continuation
+// bytes at end of input; a tenth byte above 1), an invalid op, and a
+// declared count above the real one.
 func referenceSeeds(t testing.TB) [][]byte {
 	seed := fuzzSeedTrace()
 	head, ents := binaryParts(t, seed)
@@ -252,10 +496,37 @@ func referenceSeeds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	_, lastless := binaryParts(t, &Trace{Tasks: seed.Tasks, Fields: seed.Fields, Methods: seed.Methods, Queues: seed.Queues, Entries: seed.Entries[:n-1]})
-	seeds := [][]byte{full, large.Bytes(), nil, []byte("CAFA")}
+	seeds := [][]byte{full, large.Bytes()}
+	for cut := 0; cut <= len(head); cut++ {
+		seeds = append(seeds, full[:cut])
+	}
 	for cut := len(head) + 1 + len(lastless); cut < len(full); cut++ {
 		seeds = append(seeds, full[:cut])
 	}
+	longName := fuzzSeedTrace()
+	longName.Tasks[2] = TaskInfo{ID: 2, Kind: KindThread, Name: strings.Repeat("w", 5000), Proc: 1}
+	var long bytes.Buffer
+	if err := longName.Encode(&long); err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(long.Bytes(), []byte("www"))
+	seeds = append(seeds, long.Bytes(), long.Bytes()[:at], long.Bytes()[:at+3000], long.Bytes()[:at+4999])
+	for _, c := range duplicateHeaders {
+		seeds = append(seeds, c.h.binary())
+	}
+	// Five-byte IDs in every task field, so header varints straddle
+	// the windows the header is read through.
+	wide := New()
+	for k := range 64 {
+		id := TaskID(0xFFFFFF00 + k)
+		wide.Tasks[id] = TaskInfo{ID: id, Kind: KindEvent, Name: "e", Looper: 0xFFFFFFFE, Queue: 1 << 30, Proc: -1 << 30}
+	}
+	var wideEnc bytes.Buffer
+	if err := wide.Encode(&wideEnc); err != nil {
+		t.Fatal(err)
+	}
+	seeds = append(seeds, wideEnc.Bytes(),
+		binary.AppendUvarint([]byte{'C', 'A', 'F', 'A', formatVersion, 1, 1, 0}, 1<<63)) // string length past int64
 	cont := bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)
 	op := byte(OpRead)
 	seeds = append(seeds,

@@ -53,36 +53,6 @@ func (e *PosError) Error() string {
 
 func (e *PosError) Unwrap() error { return e.Err }
 
-// byteReader is what the binary header helpers need: varints read
-// byte-at-a-time, strings in bulk.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// posReader counts the bytes the binary header helpers consume from
-// the wrapped buffered reader, so the entry section's absolute offset
-// is known. It sits above bufio, so counting costs one add per read
-// and no extra copying.
-type posReader struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (p *posReader) ReadByte() (byte, error) {
-	b, err := p.br.ReadByte()
-	if err == nil {
-		p.n++
-	}
-	return b, err
-}
-
-func (p *posReader) Read(buf []byte) (int, error) {
-	n, err := p.br.Read(buf)
-	p.n += int64(n)
-	return n, err
-}
-
 // sniffWindow is how many bytes NewStreamDecoder peeks to identify
 // the format. Peeking tolerates short streams: a trace smaller than
 // the window (or whose first line is shorter than it) still sniffs
@@ -98,8 +68,8 @@ type StreamDecoder struct {
 	next     int
 	err      error
 
-	br   *bufio.Reader // binary state: entries are decoded from Peek windows
-	off  int64         // absolute offset of the next binary entry
+	br   *bufio.Reader // binary state: header and entries decode from Peek windows
+	off  int64         // absolute offset of the next binary byte
 	rerr error         // reader error a short window returned
 	tx   *textReader   // text state
 }
@@ -126,15 +96,6 @@ func NewStreamDecoder(rd io.Reader) (*StreamDecoder, error) {
 		return newTextStream(br)
 	}
 	return newBinaryStream(br)
-}
-
-func newBinaryStream(br *bufio.Reader) (*StreamDecoder, error) {
-	pr := &posReader{br: br}
-	hdr, n, err := decodeBinaryHeader(pr)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamDecoder{format: FormatBinary, hdr: hdr, declared: n, br: br, off: pr.n}, nil
 }
 
 func newTextStream(br *bufio.Reader) (*StreamDecoder, error) {
@@ -184,10 +145,16 @@ func (d *StreamDecoder) Next(e *Entry) error {
 	return nil
 }
 
+// consume drops n bytes a window has decoded.
+func (d *StreamDecoder) consume(n int) {
+	d.br.Discard(n) //nolint:errcheck // the n bytes are buffered
+	d.off += int64(n)
+}
+
 // binaryEntry decodes one entry from a window of up to maxEntryLen
-// bytes and then consumes only the bytes it used. Once the reader has
-// failed, the window is just what bufio still holds, and the saved
-// error stands for the bytes past it, as a byte reader would see.
+// bytes and then consumes only the bytes it used. It takes the window
+// as refill does, written out here to keep a call off the per-entry
+// path.
 func (d *StreamDecoder) binaryEntry(e *Entry) error {
 	var w entryWindow
 	if d.rerr == nil {
@@ -199,8 +166,7 @@ func (d *StreamDecoder) binaryEntry(e *Entry) error {
 	if err := decodeEntry(&w, e); err != nil {
 		return &PosError{Entry: d.next, Offset: d.off, Err: err}
 	}
-	d.br.Discard(w.pos) //nolint:errcheck // w.pos bytes are buffered
-	d.off += int64(w.pos)
+	d.consume(w.pos)
 	return nil
 }
 
@@ -226,20 +192,31 @@ func (d *StreamDecoder) textEntry(e *Entry) error {
 // allocate much; a larger trace grows past it as it decodes.
 const maxPrealloc = 1 << 20
 
-// collect drains a StreamDecoder into its header trace, producing the
-// same *Trace the historical batch decoders returned. Each entry is
-// decoded in place in its Entries slot.
-func collect(d *StreamDecoder) (*Trace, error) {
+// NextRetained decodes the next entry into a new slot appended to the
+// header trace's Entries and returns it. The first call presizes
+// Entries from the declared count, capped by maxPrealloc.
+func (d *StreamDecoder) NextRetained() (*Entry, error) {
 	tr := d.hdr
-	if d.declared > 0 {
+	if tr.Entries == nil {
 		tr.Entries = make([]Entry, 0, min(d.declared, maxPrealloc))
 	}
+	tr.Entries = append(tr.Entries, Entry{})
+	e := &tr.Entries[len(tr.Entries)-1]
+	if err := d.Next(e); err != nil {
+		tr.Entries = tr.Entries[:len(tr.Entries)-1]
+		return nil, err
+	}
+	return e, nil
+}
+
+// collect drains a StreamDecoder into its header trace, producing the
+// same *Trace the historical batch decoders returned.
+func collect(d *StreamDecoder) (*Trace, error) {
 	for d.next < d.declared {
-		tr.Entries = append(tr.Entries, Entry{})
-		if err := d.Next(&tr.Entries[len(tr.Entries)-1]); err != nil {
+		if _, err := d.NextRetained(); err != nil {
 			return nil, err
 		}
 	}
-	tr.StreamLen = 0 // fully materialized; Len() is len(Entries) again
-	return tr, nil
+	d.hdr.StreamLen = 0 // fully materialized; Len() is len(Entries) again
+	return d.hdr, nil
 }

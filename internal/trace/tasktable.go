@@ -1,6 +1,9 @@
 package trace
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // TaskTable numbers the tasks of one trace densely, so the per-entry
 // passes keep per-task state in slices indexed by slot instead of maps
@@ -22,48 +25,10 @@ type TaskTable struct {
 // looper is not declared keeps no looper slot; Validator.Finish
 // rejects such a trace.
 func NewTaskTable(tr *Trace) *TaskTable {
-	return newTaskTable(tr, nil)
-}
-
-// AllTasks slots every task tr names: the declared ones, the loopers
-// their events name, and the task of every entry. The stand-alone
-// passes (hb.Scan, lockset.Compute, detect.Detect) use it, since they
-// accept traces no validator has checked.
-func AllTasks(tr *Trace) *TaskTable {
-	var extra []TaskID
-	for _, ti := range tr.Tasks {
-		if ti.Kind == KindEvent {
-			if _, ok := tr.Tasks[ti.Looper]; !ok {
-				extra = append(extra, ti.Looper)
-			}
-		}
-	}
-	for i := range tr.Entries {
-		t := tr.Entries[i].Task
-		if i > 0 && t == tr.Entries[i-1].Task {
-			continue
-		}
-		if _, ok := tr.Tasks[t]; !ok {
-			extra = append(extra, t)
-		}
-	}
-	slices.Sort(extra)
-	return newTaskTable(tr, slices.Compact(extra))
-}
-
-// newTaskTable slots the declared tasks plus extra, which holds
-// distinct undeclared IDs.
-func newTaskTable(tr *Trace, extra []TaskID) *TaskTable {
-	n := len(tr.Tasks) + len(extra)
+	n := len(tr.Tasks)
 	t := &TaskTable{n: int32(n)}
 	dense := true
 	for id := range tr.Tasks {
-		if id == NoTask || int(id) > n {
-			dense = false
-			break
-		}
-	}
-	for _, id := range extra {
 		if id == NoTask || int(id) > n {
 			dense = false
 			break
@@ -74,7 +39,6 @@ func newTaskTable(tr *Trace, extra []TaskID) *TaskTable {
 		for id := range tr.Tasks {
 			ids = append(ids, id)
 		}
-		ids = append(ids, extra...)
 		slices.Sort(ids)
 		t.slots = make(map[TaskID]int32, n)
 		for s, id := range ids {
@@ -108,6 +72,24 @@ func (t *TaskTable) Slot(id TaskID) int32 {
 		return s
 	}
 	return -1
+}
+
+// Sweep calls f on each entry of tr, in order, with its task's slot,
+// and stops at the first error f returns. An entry whose task has no
+// slot is an error: the stand-alone passes (hb.Scan, lockset.Compute,
+// detect.Detect) sweep traces no validator has checked with it.
+func (t *TaskTable) Sweep(tr *Trace, f func(i int, e *Entry, slot int32) error) error {
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		s := t.Slot(e.Task)
+		if s < 0 {
+			return fmt.Errorf("trace: entry %d: task t%d not declared", i, e.Task)
+		}
+		if err := f(i, e, s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Looper returns the slot of the looper that ran the event in slot s,

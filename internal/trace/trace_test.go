@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -238,13 +239,11 @@ func TestTaskTable(t *testing.T) {
 	if tt.Looper(1) != 3 || tt.Looper(0) != -1 {
 		t.Error("sparse table: wrong looper slots")
 	}
-
-	// AllTasks also slots undeclared loopers and the tasks entries name.
-	sparse.Tasks[1<<20] = TaskInfo{ID: 1 << 20, Kind: KindEvent, Looper: 7}
-	sparse.Entries = []Entry{{Task: 0, Op: OpBegin}, {Task: 5, Op: OpBegin}, {Task: 1, Op: OpBegin}, {Task: 5, Op: OpEnd}}
-	tt = AllTasks(sparse)
-	if tt.Len() != 7 || tt.Slot(0) != 0 || tt.Slot(5) != 2 || tt.Slot(7) != 3 || tt.Looper(tt.Slot(1<<20)) != 3 {
-		t.Errorf("AllTasks: Len %d, slots of 0, 5 and 7: %d %d %d", tt.Len(), tt.Slot(0), tt.Slot(5), tt.Slot(7))
+	sparse.Entries = []Entry{{Task: 1 << 31}, {Task: 1}, {Task: 0xFFFFFFFE}, {Task: 2}, {Task: 1}}
+	var slots []int32
+	err := tt.Sweep(sparse, func(_ int, _ *Entry, s int32) error { slots = append(slots, s); return nil })
+	if !slices.Equal(slots, []int32{2, 0, 3}) || err == nil || err.Error() != "trace: entry 3: task t2 not declared" {
+		t.Errorf("Sweep: slots %v, error %v", slots, err)
 	}
 }
 
