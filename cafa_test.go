@@ -138,12 +138,12 @@ func TestConventionalGraphThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b TaskID
-	for id, ti := range col.T.Tasks {
+	for _, ti := range col.T.Tasks {
 		switch ti.Name {
 		case "onA":
-			a = id
+			a = ti.ID
 		case "onB":
-			b = id
+			b = ti.ID
 		}
 	}
 	g, err := BuildGraph(col.T, GraphOptions{})

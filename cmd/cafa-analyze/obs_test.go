@@ -140,7 +140,7 @@ func TestErrorReportingAndExitCodes(t *testing.T) {
 	// A decodable trace that fails validation is malformed input too.
 	invalid := filepath.Join(dir, "invalid.trace")
 	bad := trace.New()
-	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+	bad.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"})
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin, Time: 1})
 	var buf bytes.Buffer

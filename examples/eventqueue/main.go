@@ -130,12 +130,12 @@ func main() {
 		}
 		// Find the event tasks named onA / onB.
 		var a, b cafa.TaskID
-		for id, ti := range col.T.Tasks {
+		for _, ti := range col.T.Tasks {
 			switch ti.Name {
 			case "onA":
-				a = id
+				a = ti.ID
 			case "onB":
-				b = id
+				b = ti.ID
 			}
 		}
 		var verdict string

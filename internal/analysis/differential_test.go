@@ -169,7 +169,7 @@ func TestForEachPipelineOrderAndErrors(t *testing.T) {
 	// A malformed trace (duplicate begin) fails its slot but not the
 	// others.
 	bad := trace.New()
-	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+	bad.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"})
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 	results, errs := analyzeEach(p, 2, []*trace.Trace{traces[0], bad, traces[1]})

@@ -23,10 +23,9 @@ import (
 // with the k-th smallest ID gets ids(k, n) of n tasks. Entries,
 // targets and loopers follow; names stay, so reports render alike.
 func relabel(tr *trace.Trace, ids func(k, n int) trace.TaskID) (*trace.Trace, map[trace.TaskID]trace.TaskID) {
-	old := tr.TaskIDs()
-	to := make(map[trace.TaskID]trace.TaskID, len(old))
-	for k, id := range old {
-		to[id] = ids(k, len(old))
+	to := make(map[trace.TaskID]trace.TaskID, len(tr.Tasks))
+	for k, ti := range tr.Tasks {
+		to[ti.ID] = ids(k, len(tr.Tasks))
 	}
 	m := func(t trace.TaskID) trace.TaskID {
 		if n, ok := to[t]; ok {
@@ -35,9 +34,9 @@ func relabel(tr *trace.Trace, ids func(k, n int) trace.TaskID) (*trace.Trace, ma
 		return t
 	}
 	out := trace.New()
-	for id, ti := range tr.Tasks {
-		ti.ID, ti.Looper = m(id), m(ti.Looper)
-		out.Tasks[ti.ID] = ti
+	for _, ti := range tr.Tasks {
+		ti.ID, ti.Looper = m(ti.ID), m(ti.Looper)
+		out.DeclareTask(ti)
 	}
 	out.Fields, out.Methods, out.Queues = tr.Fields, tr.Methods, tr.Queues
 	out.Entries = slices.Clone(tr.Entries)
@@ -118,7 +117,8 @@ func TestSparseTaskIDsMatchDense(t *testing.T) {
 		want, wantJSON := analyzeBoth(t, dense)
 		for label, ids := range map[string]func(k, n int) trace.TaskID{"sparse": sparseIDs, "scrambled": scrambledIDs} {
 			sparse, to := relabel(dense, ids)
-			if sparse.Tasks[1].Name == "" || sparse.Tasks[0xFFFFFFFE].Name == "" {
+			named := func(id trace.TaskID) bool { s := sparse.Slot(id); return s >= 0 && sparse.Tasks[s].Name != "" }
+			if !named(1) || !named(0xFFFFFFFE) {
 				t.Fatalf("%s/%s: relabelled trace lacks the extreme IDs", name, label)
 			}
 			got, gotJSON := analyzeBoth(t, sparse)

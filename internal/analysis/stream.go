@@ -108,14 +108,13 @@ func (d *decoded) Next() (*trace.Entry, error) {
 // for Finish.
 func (p *Pipeline) Ingest(src Source, sp *obs.Span) (*Analyzer, error) {
 	tr := src.Header()
-	tasks := trace.NewTaskTable(tr)
 	a := &Analyzer{
 		opts:    &p.opts,
 		tr:      tr,
-		val:     trace.NewValidator(tr, tasks),
-		scanner: hb.NewScanner(tr, tasks),
-		locks:   lockset.NewTracker(tasks),
-		ext:     detect.NewExtractor(tasks, p.opts.DerefSources),
+		val:     trace.NewValidator(tr),
+		scanner: hb.NewScanner(tr),
+		locks:   lockset.NewTracker(tr),
+		ext:     detect.NewExtractor(tr, p.opts.DerefSources),
 	}
 	spIngest := sp.Child("stream.ingest")
 	defer spIngest.End()

@@ -199,7 +199,7 @@ func TestStreamMatchesBatchErrors(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := trace.New()
-			tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+			tr.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"})
 			tr.Entries = tc.entries
 			if _, err := Analyze(tr, Options{}); err == nil || err.Error() != tc.want {
 				t.Errorf("in memory: err = %v, want %q", err, tc.want)
@@ -221,7 +221,7 @@ func TestStreamMatchesBatchErrors(t *testing.T) {
 // stream, not to the retained frontier.
 func TestStreamConsumeScalarAllocFree(t *testing.T) {
 	tr := trace.New()
-	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"}
+	tr.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"})
 	tr.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 	a, err := New(Options{}).Ingest(&entries{tr: tr}, nil)
 	if err != nil {

@@ -156,3 +156,38 @@ func TestDeterministicTraces(t *testing.T) {
 		}
 	}
 }
+
+// ascendingTracer is a Collector that records every task declared at
+// or below the ID declared before it.
+type ascendingTracer struct {
+	*trace.Collector
+	last     trace.TaskID
+	disorder []trace.TaskID
+}
+
+func (a *ascendingTracer) DeclareTask(ti trace.TaskInfo) {
+	if ti.ID <= a.last {
+		a.disorder = append(a.disorder, ti.ID)
+	}
+	a.last = ti.ID
+	a.Collector.DeclareTask(ti)
+}
+
+// TestCollectorDeclaresTasksAscending: the simulator declares every
+// app model's tasks in strictly ascending ID order, so
+// Trace.DeclareTask only ever appends while a Collector records a run.
+func TestCollectorDeclaresTasksAscending(t *testing.T) {
+	for _, spec := range Registry {
+		col := &ascendingTracer{Collector: trace.NewCollector()}
+		b, err := Build(spec, sim.Config{Tracer: col, Seed: 1}, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(col.T.Tasks) == 0 || len(col.disorder) > 0 {
+			t.Errorf("%s: %d tasks, declared out of order: %v", spec.Name, len(col.T.Tasks), col.disorder)
+		}
+	}
+}

@@ -222,9 +222,8 @@ func assertCallStacksMatchRef(t *testing.T, tr *trace.Trace, idxs []int) {
 
 // extract runs the Extractor over a materialized trace.
 func extract(tr *trace.Trace) *extraction {
-	tasks := trace.NewTaskTable(tr)
-	x := NewExtractor(tasks, nil)
-	if err := tasks.Sweep(tr, func(i int, e *trace.Entry, s int32) error { x.Consume(i, e, s); return nil }); err != nil {
+	x := NewExtractor(tr, nil)
+	if err := tr.Sweep(func(i int, e *trace.Entry, s int32) error { x.Consume(i, e, s); return nil }); err != nil {
 		panic(err) // the app models declare every task
 	}
 	return x.ex

@@ -255,13 +255,21 @@ func Detect(in Input, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("detect: trace and graph are required")
 	}
 	tr := in.Trace
-	tasks := trace.NewTaskTable(tr)
-	x := NewExtractor(tasks, in.DerefSources)
-	err := tasks.Sweep(tr, func(i int, e *trace.Entry, s int32) error { x.Consume(i, e, s); return nil })
+	x := NewExtractor(tr, in.DerefSources)
+	err := tr.Sweep(func(i int, e *trace.Entry, s int32) error { x.Consume(i, e, s); return nil })
 	if err != nil {
 		return nil, err
 	}
 	return DetectExtracted(in, x, opts)
+}
+
+// looperSlot returns the slot of the looper that ran event t, or -1
+// when t is not an event or its looper is not declared.
+func looperSlot(tr *trace.Trace, t trace.TaskID) int32 {
+	if s := tr.Slot(t); s >= 0 && tr.Tasks[s].Kind == trace.KindEvent {
+		return tr.Slot(tr.Tasks[s].Looper)
+	}
+	return -1
 }
 
 // DetectExtracted runs the detector over a finished extraction — the
@@ -274,7 +282,6 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("detect: trace and graph are required")
 	}
 	ex := x.ex
-	tasks := ex.tasks
 	res := &Result{}
 	res.Stats.Uses = len(ex.uses)
 	res.Stats.Frees = len(ex.frees)
@@ -320,8 +327,8 @@ func DetectExtracted(in Input, x *Extractor, opts Options) (*Result, error) {
 			// The commutativity heuristics only apply when both events
 			// run on the same looper thread (§4.3): there, looper
 			// atomicity makes whole-event reasoning sound enough.
-			lu := tasks.Looper(tasks.Slot(u.Task))
-			sameLooper := lu >= 0 && lu == tasks.Looper(tasks.Slot(f.Task))
+			lu := looperSlot(ex.tr, u.Task)
+			sameLooper := lu >= 0 && lu == looperSlot(ex.tr, f.Task)
 			if sameLooper {
 				if !opts.DisableIntraEventAlloc {
 					// The free side's witness (an alloc after the free)

@@ -60,9 +60,9 @@ type extraction struct {
 	uses   []Use
 	frees  []Free
 	allocs []Alloc
-	// tasks slots the trace's tasks; guards holds each slot's guards
-	// in trace order.
-	tasks  *trace.TaskTable
+	// tr is the header trace, which slots the tasks; guards holds each
+	// slot's guards in trace order.
+	tr     *trace.Trace
 	guards [][]guard
 	// allocSeqs maps (task, var) to ascending trace indexes of allocs.
 	allocSeqs map[taskVar][]int
@@ -120,25 +120,26 @@ type Extractor struct {
 	live   int // unpromoted pinned reads (the frontier window)
 }
 
-// NewExtractor returns an Extractor over a trace's task slots. When
-// sources is non-nil (the static data-flow extension of §6.3),
-// dereferences resolve to the exact pointer-load site instead of the
-// nearest same-object read.
-func NewExtractor(tasks *trace.TaskTable, sources map[dataflow.Key]dataflow.Source) *Extractor {
+// NewExtractor returns an Extractor over the task slots of a header
+// trace (Entries may be empty). When sources is non-nil (the static
+// data-flow extension of §6.3), dereferences resolve to the exact
+// pointer-load site instead of the nearest same-object read.
+func NewExtractor(header *trace.Trace, sources map[dataflow.Key]dataflow.Source) *Extractor {
+	n := len(header.Tasks)
 	x := &Extractor{
 		ex: &extraction{
-			tasks:     tasks,
-			guards:    make([][]guard, tasks.Len()),
+			tr:        header,
+			guards:    make([][]guard, n),
 			allocSeqs: make(map[taskVar][]int),
 		},
 		sources:   sources,
-		reads:     make([]map[trace.ObjID]lastRead, tasks.Len()),
+		reads:     make([]map[trace.ObjID]lastRead, n),
 		usedReads: make(map[int]bool),
 		calls:     liveStacks{},
 		stacks:    make(map[int][]trace.MethodID),
 	}
 	if sources != nil {
-		x.readsBySite = make([]map[siteKey]lastRead, tasks.Len())
+		x.readsBySite = make([]map[siteKey]lastRead, n)
 	}
 	return x
 }
@@ -158,7 +159,7 @@ func (x *Extractor) Live() int { return x.live }
 func (x *Extractor) Stacks() map[int][]trace.MethodID { return x.stacks }
 
 // Consume processes entry i, whose task has slot slot (see
-// trace.TaskTable). Entries must arrive in trace order.
+// trace.Trace.Slot). Entries must arrive in trace order.
 func (x *Extractor) Consume(i int, e *trace.Entry, slot int32) {
 	ex := x.ex
 	switch e.Op {

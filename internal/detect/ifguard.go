@@ -39,7 +39,7 @@ func GuardRegion(kind trace.BranchKind, pc, target trace.PC) (lo, hi trace.PC) {
 // region contains the dereference PC (§4.3). The returned guard is
 // the provenance witness for the prune.
 func (ex *extraction) guardWitness(u Use) (guard, bool) {
-	for _, g := range ex.guards[ex.tasks.Slot(u.Task)] {
+	for _, g := range ex.guards[ex.tr.Slot(u.Task)] {
 		if !g.ok || g.idx >= u.DerefIdx {
 			continue
 		}

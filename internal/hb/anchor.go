@@ -139,7 +139,7 @@ func (ps *Prescan) buildAnchorIndex() *anchorIndex {
 		}
 	}
 	// Resolve every other node to its task's nearest anchors.
-	for s := range int32(ps.tasks.Len()) {
+	for s := range int32(len(ps.tr.Tasks)) {
 		ns := ps.slotNodes(s)
 		last := int32(-1)
 		for _, id := range ns {
@@ -188,7 +188,7 @@ func (ix *anchorIndex) buildLooperRules(ps *Prescan) {
 		ix.evAt[c], ix.anteEv[c] = -1, -1
 	}
 	n := 0
-	for l := range int32(ps.tasks.Len()) {
+	for l := range int32(len(ps.tr.Tasks)) {
 		lr := looperRule{first: n}
 		for _, ev := range ps.eventsOf(l) {
 			if b, e := ps.begins[ev], ps.ends[ev]; b >= 0 && e >= 0 {

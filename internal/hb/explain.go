@@ -108,7 +108,7 @@ func (g *Graph) CommonAncestor(i, j int) int {
 	// against the column of i's backward anchor, resolved once here.
 	ei, ej := g.tr.Entries[i].Task, g.tr.Entries[j].Task
 	ci, cj := g.columnOf(g.anchorBefore(ei, i)), g.columnOf(g.anchorBefore(ej, j))
-	ti, tj := g.tasks.Slot(ei), g.tasks.Slot(ej)
+	ti, tj := g.tr.Slot(ei), g.tr.Slot(ej)
 	lim := min(i, j)
 	lo, hi := 0, len(g.nodes)
 	for lo < hi {

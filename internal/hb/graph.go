@@ -93,7 +93,7 @@ type Options struct {
 // node is one reduced node of the graph.
 type node struct {
 	seq  int   // entry index in the trace
-	slot int32 // its task's slot in the trace's TaskTable
+	slot int32 // its task's slot in the trace's task table
 }
 
 type sendInfo struct {
@@ -155,7 +155,7 @@ func BuildFromScan(ps *Prescan, opts Options) (*Graph, error) {
 	if opts.Conventional {
 		// Conventional baseline: total event order per looper. The
 		// rules would add nothing to it (see the package comment).
-		for l := range int32(ps.tasks.Len()) {
+		for l := range int32(len(ps.tr.Tasks)) {
 			evs := ps.eventsOf(l)
 			for i := 1; i < len(evs); i++ {
 				if g.addEdge(ps.ends[evs[i-1]], ps.begins[evs[i]]) {

@@ -15,12 +15,12 @@ type tb struct {
 func newTB() *tb { return &tb{tr: trace.New()} }
 
 func (b *tb) thread(id trace.TaskID, name string) trace.TaskID {
-	b.tr.Tasks[id] = trace.TaskInfo{ID: id, Kind: trace.KindThread, Name: name}
+	b.tr.DeclareTask(trace.TaskInfo{ID: id, Kind: trace.KindThread, Name: name})
 	return id
 }
 
 func (b *tb) event(id trace.TaskID, name string, looper trace.TaskID, q trace.QueueID) trace.TaskID {
-	b.tr.Tasks[id] = trace.TaskInfo{ID: id, Kind: trace.KindEvent, Name: name, Looper: looper, Queue: q}
+	b.tr.DeclareTask(trace.TaskInfo{ID: id, Kind: trace.KindEvent, Name: name, Looper: looper, Queue: q})
 	return id
 }
 

@@ -33,7 +33,6 @@ type redOp struct {
 // Per-task state lives in slices indexed by the trace's task slots.
 type Prescan struct {
 	tr     *trace.Trace
-	tasks  *trace.TaskTable
 	nodes  []node
 	redOps []redOp
 	// taskNodes holds node ids task by task, each task's ascending by
@@ -69,9 +68,8 @@ type Prescan struct {
 // trace. The trace need not have been validated, but every task an
 // entry names must be declared: Scan fails on the first that is not.
 func Scan(tr *trace.Trace) (*Prescan, error) {
-	tasks := trace.NewTaskTable(tr)
-	sc := NewScanner(tr, tasks)
-	if err := tasks.Sweep(tr, func(_ int, e *trace.Entry, s int32) error { return sc.Consume(e, s) }); err != nil {
+	sc := NewScanner(tr)
+	if err := tr.Sweep(func(_ int, e *trace.Entry, s int32) error { return sc.Consume(e, s) }); err != nil {
 		return nil, err
 	}
 	return sc.Finish(), nil
@@ -82,7 +80,7 @@ func (ps *Prescan) Trace() *trace.Trace { return ps.tr }
 
 // nodesOf returns task t's node ids, ascending by seq.
 func (ps *Prescan) nodesOf(t trace.TaskID) []int32 {
-	return ps.slotNodes(ps.tasks.Slot(t))
+	return ps.slotNodes(ps.tr.Slot(t))
 }
 
 // slotNodes returns the node ids of the task in slot s (none for -1),
@@ -102,7 +100,7 @@ func (ps *Prescan) eventsOf(l int32) []int32 {
 
 // nodeOf returns the entry of a by-slot node table for task t, or -1.
 func (ps *Prescan) nodeOf(bySlot []int32, t trace.TaskID) int32 {
-	if s := ps.tasks.Slot(t); s >= 0 {
+	if s := ps.tr.Slot(t); s >= 0 {
 		return bySlot[s]
 	}
 	return -1
@@ -119,14 +117,13 @@ type Scanner struct {
 }
 
 // NewScanner returns a Scanner over a header trace (task and name
-// tables; Entries may be empty) and its task slots. The node tables
-// are sized from the header: most tasks have a begin, an end and the
-// fork or send that created them.
-func NewScanner(header *trace.Trace, tasks *trace.TaskTable) *Scanner {
-	n := tasks.Len()
+// tables; Entries may be empty). The node tables are sized from the
+// header: most tasks have a begin, an end and the fork or send that
+// created them.
+func NewScanner(header *trace.Trace) *Scanner {
+	n := len(header.Tasks)
 	ps := &Prescan{
 		tr:         header,
-		tasks:      tasks,
 		nodes:      make([]node, 0, min(3*n, header.Len())),
 		begins:     make([]int32, n),
 		ends:       make([]int32, n),
@@ -140,7 +137,7 @@ func NewScanner(header *trace.Trace, tasks *trace.TaskTable) *Scanner {
 }
 
 // Consume advances the scan by one entry whose task has slot slot (see
-// trace.TaskTable). The entry is not retained.
+// trace.Trace.Slot). The entry is not retained.
 func (s *Scanner) Consume(e *trace.Entry, slot int32) error {
 	i := s.i
 	s.i++
@@ -231,17 +228,19 @@ func groupBy(keys, n int, keyOf func(i int) int32) (off, out []int32) {
 
 // groupByTask lists the node ids by task slot.
 func (ps *Prescan) groupByTask() (off, nodes []int32) {
-	return groupBy(ps.tasks.Len(), len(ps.nodes), func(i int) int32 { return ps.nodes[i].slot })
+	return groupBy(len(ps.tr.Tasks), len(ps.nodes), func(i int) int32 { return ps.nodes[i].slot })
 }
 
 // groupByLooper lists each looper's events, as slots, in begin order:
-// begin nodes of events, grouped by their looper's slot.
+// begin nodes of events, grouped by their looper's slot. An event
+// whose looper is not declared is in no group.
 func (ps *Prescan) groupByLooper() (off, events []int32) {
-	off, events = groupBy(ps.tasks.Len(), len(ps.nodes), func(i int) int32 {
-		if ps.redOps[i].op != trace.OpBegin {
+	off, events = groupBy(len(ps.tr.Tasks), len(ps.nodes), func(i int) int32 {
+		ti := &ps.tr.Tasks[ps.nodes[i].slot]
+		if ps.redOps[i].op != trace.OpBegin || ti.Kind != trace.KindEvent {
 			return -1
 		}
-		return ps.tasks.Looper(ps.nodes[i].slot)
+		return ps.tr.Slot(ti.Looper)
 	})
 	for k, id := range events {
 		events[k] = ps.nodes[id].slot
@@ -277,7 +276,7 @@ func (ps *Prescan) addBase(u, v int32) bool {
 // trace would).
 func (ps *Prescan) collectBaseEdges() {
 	// Program-order chains within each task.
-	for s := range int32(ps.tasks.Len()) {
+	for s := range int32(len(ps.tr.Tasks)) {
 		ns := ps.slotNodes(s)
 		for i := 1; i < len(ns); i++ {
 			ps.addBase(ns[i-1], ns[i])

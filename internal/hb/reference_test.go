@@ -28,7 +28,7 @@ func buildRef(ps *Prescan, opts Options) *refGraph {
 		g.baseEdges += len(g.adj[u])
 	}
 	if opts.Conventional {
-		for lo := range int32(ps.tasks.Len()) {
+		for lo := range int32(len(ps.tr.Tasks)) {
 			evs := ps.eventsOf(lo)
 			for i := 1; i < len(evs); i++ {
 				en, b := ps.ends[evs[i-1]], ps.begins[evs[i]]
@@ -98,7 +98,7 @@ func (g *refGraph) orderNodes(en, b int32, added *bool) {
 func (g *refGraph) applyDerivedRules() bool {
 	ps := g.ps
 	added := false
-	for lo := range int32(ps.tasks.Len()) {
+	for lo := range int32(len(ps.tr.Tasks)) {
 		evs := ps.eventsOf(lo)
 		for i := range evs {
 			bi, ei := ps.begins[evs[i]], ps.ends[evs[i]]

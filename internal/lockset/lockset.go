@@ -26,9 +26,8 @@ type Sets struct {
 // trace need not have been validated, but every task an entry names
 // must be declared: Compute fails on the first that is not.
 func Compute(tr *trace.Trace) (*Sets, error) {
-	tasks := trace.NewTaskTable(tr)
-	tk := NewTracker(tasks)
-	if err := tasks.Sweep(tr, tk.Consume); err != nil {
+	tk := NewTracker(tr)
+	if err := tr.Sweep(tk.Consume); err != nil {
 		return nil, err
 	}
 	return tk.Sets(), nil
@@ -41,17 +40,17 @@ type Tracker struct {
 	held [][]trace.LockID // by task slot
 }
 
-// NewTracker returns a Tracker with no locks held over a trace's task
-// slots.
-func NewTracker(tasks *trace.TaskTable) *Tracker {
+// NewTracker returns a Tracker with no locks held over the task slots
+// of a header trace (Entries may be empty).
+func NewTracker(header *trace.Trace) *Tracker {
 	return &Tracker{
 		s:    &Sets{at: make(map[int][]trace.LockID)},
-		held: make([][]trace.LockID, tasks.Len()),
+		held: make([][]trace.LockID, len(header.Tasks)),
 	}
 }
 
 // Consume processes entry i, whose task has slot slot (see
-// trace.TaskTable). Entries must arrive in order.
+// trace.Trace.Slot). Entries must arrive in order.
 func (tk *Tracker) Consume(i int, e *trace.Entry, slot int32) error {
 	cur := tk.held[slot]
 	switch e.Op {

@@ -9,8 +9,8 @@ import (
 
 func mkTrace(entries []trace.Entry) *trace.Trace {
 	tr := trace.New()
-	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "a"}
-	tr.Tasks[2] = trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "b"}
+	tr.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "a"})
+	tr.DeclareTask(trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "b"})
 	for i, e := range entries {
 		e.Time = int64(i)
 		tr.Append(e)

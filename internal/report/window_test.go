@@ -1,6 +1,7 @@
 package report
 
 import (
+	"slices"
 	"testing"
 
 	"cafa/internal/apps"
@@ -31,9 +32,7 @@ func TestTruncatedTraceWindow(t *testing.T) {
 		n := len(full.Entries) * frac / 100
 		win := trace.New()
 		win.Entries = full.Entries[:n]
-		for k, v := range full.Tasks {
-			win.Tasks[k] = v
-		}
+		win.Tasks = slices.Clone(full.Tasks)
 		for k, v := range full.Fields {
 			win.Fields[k] = v
 		}

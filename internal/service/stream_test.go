@@ -152,7 +152,7 @@ func TestStreamSubmitErrors(t *testing.T) {
 
 	// Structurally decodable but semantically invalid: duplicate begin.
 	bad := trace.New()
-	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+	bad.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"})
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin})
 	bad.Append(trace.Entry{Task: 1, Op: trace.OpBegin, Time: 1})
 	var buf bytes.Buffer
@@ -195,7 +195,7 @@ func TestSubmitRejectsPerEntryFaults(t *testing.T) {
 func locksetFaultTrace(t *testing.T) []byte {
 	t.Helper()
 	bad := trace.New()
-	bad.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"}
+	bad.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "T"})
 	for i, e := range []trace.Entry{
 		{Task: 1, Op: trace.OpBegin},
 		{Task: 1, Op: trace.OpLock, Lock: 5},

@@ -56,25 +56,34 @@ type Config struct {
 // trace.Validate() and every derived ordering is consistent with the
 // emitted execution order, matching a trace a real run would produce.
 func Trace(cfg Config) *trace.Trace {
+	col := trace.NewCollector()
+	emit(cfg, col)
+	cSynthTraces.Inc()
+	cSynthEntries.Add(int64(len(col.T.Entries)))
+	return col.T
+}
+
+// emit writes the synthetic trace to out, as the simulator writes a
+// run: tasks are declared as they are numbered, in ascending ID order.
+func emit(cfg Config, out trace.Tracer) {
 	if cfg.Chain < 1 {
 		cfg.Chain = 1
 	}
 	if cfg.EventsPer < 1 {
 		cfg.EventsPer = 1
 	}
-	tr := trace.New()
 	var now int64
 	add := func(e trace.Entry) {
 		e.Time = now
 		now++
-		tr.Append(e)
+		out.Emit(e)
 	}
 
 	next := trace.TaskID(1)
 	newTask := func(kind trace.TaskKind, name string, looper trace.TaskID, q trace.QueueID) trace.TaskID {
 		id := next
 		next++
-		tr.Tasks[id] = trace.TaskInfo{ID: id, Kind: kind, Name: name, Looper: looper, Queue: q}
+		out.DeclareTask(trace.TaskInfo{ID: id, Kind: kind, Name: name, Looper: looper, Queue: q})
 		return id
 	}
 
@@ -208,7 +217,4 @@ func Trace(cfg Config) *trace.Trace {
 			add(trace.Entry{Task: ev, Op: trace.OpEnd})
 		}
 	}
-	cSynthTraces.Inc()
-	cSynthEntries.Add(int64(len(tr.Entries)))
-	return tr
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"cafa/internal/obs"
@@ -86,9 +87,8 @@ func (tr *Trace) Encode(w io.Writer) error {
 
 	// Task table.
 	putUvarint(bw, uint64(len(tr.Tasks)))
-	for _, id := range tr.TaskIDs() {
-		ti := tr.Tasks[id]
-		putUvarint(bw, uint64(id))
+	for _, ti := range tr.Tasks {
+		putUvarint(bw, uint64(ti.ID))
 		putUvarint(bw, uint64(ti.Kind))
 		putString(bw, ti.Name)
 		putUvarint(bw, uint64(ti.Looper))
@@ -240,26 +240,29 @@ func newBinaryStream(br *bufio.Reader) (*StreamDecoder, error) {
 	if ver := d.uvarint(&w); d.err == nil && ver != formatVersion {
 		return nil, fmt.Errorf("trace: decode: unsupported version %d", ver)
 	}
-	// The records go to a slice first so the map is sized from the
-	// records actually read, not from a count a hostile header states.
+	// The records are appended as read; they are sorted, and checked
+	// for a repeated ID, only if they do not arrive strictly ascending.
 	ntasks := d.uvarint(&w)
-	tasks := make([]TaskInfo, 0, min(ntasks, maxPrealloc))
+	tr := &Trace{Tasks: slices.Grow([]TaskInfo(nil), int(min(ntasks, maxPrealloc)))}
+	ascending := true
 	for i := uint64(0); i < ntasks && d.err == nil; i++ {
-		tasks = append(tasks, TaskInfo{
+		ti := TaskInfo{
 			ID:     TaskID(d.uvarint(&w)),
 			Kind:   TaskKind(d.uvarint(&w)),
 			Name:   d.str(&w),
 			Looper: TaskID(d.uvarint(&w)),
 			Queue:  QueueID(d.uvarint(&w)),
 			Proc:   int32(unzigzag(d.uvarint(&w))),
-		})
-	}
-	tr := &Trace{Tasks: make(map[TaskID]TaskInfo, len(tasks))}
-	for _, ti := range tasks {
-		if _, dup := tr.Tasks[ti.ID]; dup && d.err == nil {
-			d.err = fmt.Errorf("trace: decode: duplicate task %d", ti.ID)
 		}
-		tr.Tasks[ti.ID] = ti
+		if n := len(tr.Tasks); n > 0 && ti.ID <= tr.Tasks[n-1].ID {
+			ascending = false
+		}
+		tr.Tasks = append(tr.Tasks, ti)
+	}
+	if !ascending && d.err == nil {
+		if dup, id := sortTasks(tr.Tasks); dup >= 0 {
+			d.err = fmt.Errorf("trace: decode: duplicate task %d", id)
+		}
 	}
 	tr.Fields = nameTable[FieldID](d, &w, "fields")
 	tr.Methods = nameTable[MethodID](d, &w, "methods")

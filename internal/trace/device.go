@@ -10,24 +10,17 @@ import (
 // kernel logger device (§5.1). Fig. 8 measures the execution-time
 // dilation of exactly this path, so the sink does the real
 // serialization work per entry rather than just buffering structs.
+//
+// The header tables are not kept: Bytes counts only the entries.
 type DeviceSink struct {
-	buf    bytes.Buffer
-	w      *bufio.Writer
-	tasks  map[TaskID]TaskInfo
-	fields map[FieldID]string
-	meths  map[MethodID]string
-	queues map[QueueID]string
-	n      int
+	buf bytes.Buffer
+	w   *bufio.Writer
+	n   int
 }
 
 // NewDeviceSink returns an empty sink.
 func NewDeviceSink() *DeviceSink {
-	d := &DeviceSink{
-		tasks:  make(map[TaskID]TaskInfo),
-		fields: make(map[FieldID]string),
-		meths:  make(map[MethodID]string),
-		queues: make(map[QueueID]string),
-	}
+	d := &DeviceSink{}
 	d.w = bufio.NewWriter(&d.buf)
 	return d
 }
@@ -41,16 +34,16 @@ func (d *DeviceSink) Emit(e Entry) {
 }
 
 // DeclareTask implements Tracer.
-func (d *DeviceSink) DeclareTask(ti TaskInfo) { d.tasks[ti.ID] = ti }
+func (d *DeviceSink) DeclareTask(TaskInfo) {}
 
 // InternField implements Tracer.
-func (d *DeviceSink) InternField(id FieldID, name string) { d.fields[id] = name }
+func (d *DeviceSink) InternField(FieldID, string) {}
 
 // InternMethod implements Tracer.
-func (d *DeviceSink) InternMethod(id MethodID, name string) { d.meths[id] = name }
+func (d *DeviceSink) InternMethod(MethodID, string) {}
 
 // InternQueue implements Tracer.
-func (d *DeviceSink) InternQueue(id QueueID, name string) { d.queues[id] = name }
+func (d *DeviceSink) InternQueue(QueueID, string) {}
 
 // Entries returns the number of entries written.
 func (d *DeviceSink) Entries() int { return d.n }

@@ -10,9 +10,9 @@ import (
 // the codec encodes.
 func fuzzSeedTrace() *Trace {
 	tr := New()
-	tr.Tasks[1] = TaskInfo{ID: 1, Kind: KindThread, Name: "main", Proc: 0}
-	tr.Tasks[2] = TaskInfo{ID: 2, Kind: KindThread, Name: "worker", Proc: 1}
-	tr.Tasks[3] = TaskInfo{ID: 3, Kind: KindEvent, Name: "onClick", Looper: 1, Queue: 1}
+	tr.DeclareTask(TaskInfo{ID: 1, Kind: KindThread, Name: "main", Proc: 0})
+	tr.DeclareTask(TaskInfo{ID: 2, Kind: KindThread, Name: "worker", Proc: 1})
+	tr.DeclareTask(TaskInfo{ID: 3, Kind: KindEvent, Name: "onClick", Looper: 1, Queue: 1})
 	tr.Fields[7] = "session"
 	tr.Methods[9] = "onDestroy"
 	tr.Queues[1] = "mainQ"

@@ -3,12 +3,14 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -184,6 +186,7 @@ func decodeHeaderRef(br byteReader) (*Trace, int, error) {
 	}
 	// The records go to a slice first so the map is sized from the
 	// records actually read, not from a count a hostile header states.
+	// The map finds a repeated ID; the trace holds its records sorted.
 	tasks := make([]TaskInfo, 0, min(ntasks, maxPrealloc))
 	for i := uint64(0); i < ntasks; i++ {
 		var ti TaskInfo
@@ -219,13 +222,18 @@ func decodeHeaderRef(br byteReader) (*Trace, int, error) {
 		ti.Proc = int32(proc)
 		tasks = append(tasks, ti)
 	}
-	tr := &Trace{Tasks: make(map[TaskID]TaskInfo, len(tasks))}
+	seen := make(map[TaskID]TaskInfo, len(tasks))
 	for _, ti := range tasks {
-		if _, dup := tr.Tasks[ti.ID]; dup {
+		if _, dup := seen[ti.ID]; dup {
 			return nil, 0, fmt.Errorf("trace: decode: duplicate task %d", ti.ID)
 		}
-		tr.Tasks[ti.ID] = ti
+		seen[ti.ID] = ti
 	}
+	tr := &Trace{}
+	for _, ti := range seen {
+		tr.Tasks = append(tr.Tasks, ti)
+	}
+	slices.SortFunc(tr.Tasks, func(a, b TaskInfo) int { return cmp.Compare(a.ID, b.ID) })
 	if tr.Fields, err = getNameTable[FieldID](br, "fields"); err != nil {
 		return nil, 0, err
 	}
@@ -330,14 +338,21 @@ var readerShapes = []struct {
 	{"timeout", iotest.TimeoutReader},
 }
 
-// checkMatchesReference decodes data with the window decoder (batch
-// and Next) and with the reference, under every reader shape, and
-// requires the same trace or the same error at the same position.
+// checkMatchesReference decodes data with the window decoder (batch,
+// Next, and DecodeAuto's sniffing entry point) and with the reference,
+// under every reader shape, and requires the same trace or the same
+// error at the same position. DecodeAuto reads text as text, so on
+// text its reference is DecodeText under the same shape.
 func checkMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
+	text := bytes.HasPrefix(data, []byte(textMagic))
 	for _, shape := range readerShapes {
-		want, wantErr := decodeRef(shape.wrap(bytes.NewReader(data)))
-		for name, decode := range map[string]func(io.Reader) (*Trace, error){"Decode": Decode, "Next": decodeNext} {
+		binWant, binErr := decodeRef(shape.wrap(bytes.NewReader(data)))
+		for name, decode := range map[string]func(io.Reader) (*Trace, error){"Decode": Decode, "Next": decodeNext, "DecodeAuto": DecodeAuto} {
+			want, wantErr := binWant, binErr
+			if name == "DecodeAuto" && text {
+				want, wantErr = DecodeText(shape.wrap(bytes.NewReader(data)))
+			}
 			got, err := decode(shape.wrap(bytes.NewReader(data)))
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("%s/%s: error disagreement: reference %v, window %v", shape.name, name, wantErr, err)
@@ -350,9 +365,9 @@ func checkMatchesReference(t *testing.T, data []byte) {
 				if errors.As(err, &pe) != errors.As(wantErr, &wpe) {
 					t.Fatalf("%s/%s: PosError disagreement: reference %T, window %T", shape.name, name, wantErr, err)
 				}
-				if pe != nil && (pe.Entry != wpe.Entry || pe.Offset != wpe.Offset) {
-					t.Fatalf("%s/%s: position: reference entry %d at %d, window entry %d at %d",
-						shape.name, name, wpe.Entry, wpe.Offset, pe.Entry, pe.Offset)
+				if pe != nil && (pe.Entry != wpe.Entry || pe.Offset != wpe.Offset || pe.Line != wpe.Line) {
+					t.Fatalf("%s/%s: position: reference entry %d at %d line %d, window entry %d at %d line %d",
+						shape.name, name, wpe.Entry, wpe.Offset, wpe.Line, pe.Entry, pe.Offset, pe.Line)
 				}
 				continue
 			}
@@ -457,6 +472,54 @@ var duplicateHeaders = []struct {
 	{rawHeader{tasks: []TaskInfo{{ID: 1, Name: "a"}}, fields: []uint32{3, 7, 7}}, "fields table: duplicate id 7"},
 }
 
+// outOfOrderHeaders declare their tasks out of ID order: once with
+// every ID distinct, which decodes to the records sorted by ID, and
+// once repeating two different IDs, where the repeat reported is the
+// first in record order (task 5, the third record, on line 5 of the
+// text) and not the lowest ID repeated. want is the error text both
+// formats report, as in duplicateHeaders, or "" for none.
+var outOfOrderHeaders = []struct {
+	h        rawHeader
+	want     string
+	wantLine int
+}{
+	{rawHeader{tasks: []TaskInfo{{ID: 9, Name: "c"}, {ID: 2, Name: "a"}, {ID: 5, Name: "b", Kind: KindEvent, Looper: 2}, {ID: 1}}}, "", 0},
+	{rawHeader{tasks: []TaskInfo{{ID: 5, Name: "a"}, {ID: 9, Name: "b"}, {ID: 5, Name: "c"}, {ID: 3, Name: "d"}, {ID: 3, Name: "e"}}}, "duplicate task 5", 5},
+}
+
+// TestOutOfOrderHeaders decodes each out-of-order header in both wire
+// formats, through the format's own decoder and through DecodeAuto,
+// under every reader shape.
+func TestOutOfOrderHeaders(t *testing.T) {
+	for i, c := range outOfOrderHeaders {
+		sorted := slices.Clone(c.h.tasks)
+		slices.SortStableFunc(sorted, func(a, b TaskInfo) int { return cmp.Compare(a.ID, b.ID) })
+		for _, shape := range readerShapes {
+			for _, run := range []struct {
+				name   string
+				decode func(io.Reader) (*Trace, error)
+				data   []byte
+				want   string
+			}{
+				{"Decode", Decode, c.h.binary(), "trace: decode: " + c.want},
+				{"DecodeAuto/binary", DecodeAuto, c.h.binary(), "trace: decode: " + c.want},
+				{"DecodeText", DecodeText, []byte(c.h.text()), fmt.Sprintf("trace: decode text: line %d: %s", c.wantLine, c.want)},
+				{"DecodeAuto/text", DecodeAuto, []byte(c.h.text()), fmt.Sprintf("trace: decode text: line %d: %s", c.wantLine, c.want)},
+			} {
+				tr, err := run.decode(shape.wrap(bytes.NewReader(run.data)))
+				switch {
+				case c.want == "" && err != nil:
+					t.Errorf("%d/%s/%s: %v", i, shape.name, run.name, err)
+				case c.want == "" && !reflect.DeepEqual(tr.Tasks, sorted):
+					t.Errorf("%d/%s/%s: tasks %+v, want %+v", i, shape.name, run.name, tr.Tasks, sorted)
+				case c.want != "" && (err == nil || err.Error() != run.want):
+					t.Errorf("%d/%s/%s: error %v, want %q", i, shape.name, run.name, err, run.want)
+				}
+			}
+		}
+	}
+}
+
 // TestDuplicateHeaderIDs feeds one logical header through both wire
 // formats: each rejects a task or name-table ID declared twice.
 func TestDuplicateHeaderIDs(t *testing.T) {
@@ -482,7 +545,8 @@ func TestDuplicateHeaderIDs(t *testing.T) {
 // referenceSeeds are the inputs the differential must cover: a trace
 // past the 4 KiB buffer, every prefix of a header, a header string
 // longer than bufio's buffer and cuts inside it, headers declaring an
-// ID twice, header varints across window edges, the last entry cut at
+// ID twice, headers declaring tasks out of ID order (binary and text),
+// header varints across window edges, the last entry cut at
 // every byte, overflowing varints (eleven bytes; ten continuation
 // bytes at end of input; a tenth byte above 1), an invalid op, and a
 // declared count above the real one.
@@ -504,7 +568,7 @@ func referenceSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, full[:cut])
 	}
 	longName := fuzzSeedTrace()
-	longName.Tasks[2] = TaskInfo{ID: 2, Kind: KindThread, Name: strings.Repeat("w", 5000), Proc: 1}
+	longName.DeclareTask(TaskInfo{ID: 2, Kind: KindThread, Name: strings.Repeat("w", 5000), Proc: 1})
 	var long bytes.Buffer
 	if err := longName.Encode(&long); err != nil {
 		t.Fatal(err)
@@ -514,12 +578,15 @@ func referenceSeeds(t testing.TB) [][]byte {
 	for _, c := range duplicateHeaders {
 		seeds = append(seeds, c.h.binary())
 	}
+	for _, c := range outOfOrderHeaders {
+		seeds = append(seeds, c.h.binary(), []byte(c.h.text()))
+	}
 	// Five-byte IDs in every task field, so header varints straddle
 	// the windows the header is read through.
 	wide := New()
 	for k := range 64 {
 		id := TaskID(0xFFFFFF00 + k)
-		wide.Tasks[id] = TaskInfo{ID: id, Kind: KindEvent, Name: "e", Looper: 0xFFFFFFFE, Queue: 1 << 30, Proc: -1 << 30}
+		wide.DeclareTask(TaskInfo{ID: id, Kind: KindEvent, Name: "e", Looper: 0xFFFFFFFE, Queue: 1 << 30, Proc: -1 << 30})
 	}
 	var wideEnc bytes.Buffer
 	if err := wide.Encode(&wideEnc); err != nil {

@@ -92,11 +92,23 @@ func NewStreamDecoder(rd io.Reader) (*StreamDecoder, error) {
 	if len(head) == 0 && err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
+	if err != nil {
+		// A stream shorter than the window: Peek has taken the
+		// reader's error and bufio will not return it again, so the
+		// decoders read the peeked bytes and then that error, as they
+		// would have without the sniff.
+		br = bufio.NewReader(io.MultiReader(bytes.NewReader(head), errReader{err}))
+	}
 	if bytes.HasPrefix(head, []byte(textMagic)) {
 		return newTextStream(br)
 	}
 	return newBinaryStream(br)
 }
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 func newTextStream(br *bufio.Reader) (*StreamDecoder, error) {
 	tx := &textReader{br: br}

@@ -6,16 +6,16 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // cloneTables copies a trace's header tables without its entries.
 func cloneTables(tr *Trace) *Trace {
 	c := New()
-	for id, ti := range tr.Tasks {
-		c.Tasks[id] = ti
-	}
+	c.Tasks = slices.Clone(tr.Tasks)
 	for k, v := range tr.Fields {
 		c.Fields[k] = v
 	}
@@ -247,7 +247,7 @@ func TestSniffShortInput(t *testing.T) {
 
 	// Same for a binary trace smaller than the window.
 	small := New()
-	small.Tasks[1] = TaskInfo{ID: 1, Kind: KindThread, Name: "T"}
+	small.DeclareTask(TaskInfo{ID: 1, Kind: KindThread, Name: "T"})
 	small.Append(Entry{Task: 1, Op: OpBegin})
 	small.Append(Entry{Task: 1, Op: OpEnd, Time: 1})
 	var buf bytes.Buffer
@@ -331,5 +331,36 @@ func TestFuzzDecodeStreamSeeds(t *testing.T) {
 	}
 	for _, data := range [][]byte{bin.Bytes(), txt.Bytes(), []byte("CAFA"), []byte(minimalText), nil} {
 		checkStreamAgrees(t, data)
+	}
+}
+
+// TestSniffKeepsReaderError: on a stream shorter than the sniff window
+// whose reader fails once after its bytes, DecodeAuto reports the
+// reader's error where Decode and DecodeText do, not the io.EOF a
+// later read returns.
+func TestSniffKeepsReaderError(t *testing.T) {
+	c := NewCollector()
+	c.DeclareTask(TaskInfo{ID: 1, Kind: KindThread, Name: "T"})
+	c.Emit(Entry{Task: 1, Op: OpBegin})
+	c.Emit(Entry{Task: 1, Op: OpEnd, Time: 1})
+	var bin bytes.Buffer
+	if err := c.T.Encode(&bin); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		data   []byte
+		decode func(io.Reader) (*Trace, error)
+	}{
+		{bin.Bytes()[:bin.Len()-1], Decode},
+		{[]byte("CAFA-TEXT 1\ntasks 0\nfields 0\nmethods 0\nqueues 0\nentries 0"), DecodeText},
+	} {
+		if len(tc.data) >= sniffWindow {
+			t.Fatalf("%q: input must stay under the %d-byte sniff window", tc.data, sniffWindow)
+		}
+		_, want := tc.decode(iotest.TimeoutReader(bytes.NewReader(tc.data)))
+		_, got := DecodeAuto(iotest.TimeoutReader(bytes.NewReader(tc.data)))
+		if want == nil || !strings.HasSuffix(want.Error(), iotest.ErrTimeout.Error()) || got == nil || got.Error() != want.Error() {
+			t.Errorf("%q: DecodeAuto error %v, want %v", tc.data, got, want)
+		}
 	}
 }

@@ -41,10 +41,9 @@ func (tr *Trace) EncodeText(w io.Writer) error {
 	fmt.Fprintf(bw, "%s %d\n", textMagic, textVersion)
 
 	fmt.Fprintf(bw, "tasks %d\n", len(tr.Tasks))
-	for _, id := range tr.TaskIDs() {
-		ti := tr.Tasks[id]
+	for _, ti := range tr.Tasks {
 		fmt.Fprintf(bw, "task %d kind=%d looper=%d queue=%d proc=%d %s\n",
-			id, ti.Kind, ti.Looper, ti.Queue, ti.Proc, strconv.Quote(ti.Name))
+			ti.ID, ti.Kind, ti.Looper, ti.Queue, ti.Proc, strconv.Quote(ti.Name))
 	}
 	writeTextTable(bw, "fields", toU32Map(tr.Fields))
 	writeTextTable(bw, "methods", toU32Map(tr.Methods))
@@ -191,6 +190,10 @@ func decodeTextHeader(r *textReader) (*Trace, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	// Records are appended as read. While they arrive ascending a
+	// repeated ID is reported at once; once one arrives out of order
+	// they are sorted, and checked for a repeat, when the section ends.
+	first, ascending := r.line+1, true
 	for i := 0; i < ntasks; i++ {
 		line, err := r.next()
 		if err != nil {
@@ -200,10 +203,18 @@ func decodeTextHeader(r *textReader) (*Trace, int, error) {
 		if err != nil {
 			return nil, 0, r.errf("%v", err)
 		}
-		if _, dup := tr.Tasks[ti.ID]; dup {
-			return nil, 0, r.errf("duplicate task %d", ti.ID)
+		if n := len(tr.Tasks); n > 0 && ti.ID <= tr.Tasks[n-1].ID {
+			if ascending && ti.ID == tr.Tasks[n-1].ID {
+				return nil, 0, r.errf("duplicate task %d", ti.ID)
+			}
+			ascending = false
 		}
-		tr.Tasks[ti.ID] = ti
+		tr.Tasks = append(tr.Tasks, ti)
+	}
+	if !ascending {
+		if dup, id := sortTasks(tr.Tasks); dup >= 0 {
+			return nil, 0, &PosError{Entry: -1, Line: first + dup, Err: fmt.Errorf("duplicate task %d", id)}
+		}
 	}
 	if err := readTextTable(r, "fields", func(k uint32, v string) { tr.Fields[FieldID(k)] = v }); err != nil {
 		return nil, 0, err

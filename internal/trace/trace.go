@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Trace is one recorded execution: the ordered operation list plus the
@@ -12,8 +13,11 @@ import (
 type Trace struct {
 	Entries []Entry
 
-	// Tasks maps each TaskID appearing in the trace to its metadata.
-	Tasks map[TaskID]TaskInfo
+	// Tasks holds the metadata of each task the trace declares, in
+	// ascending ID order and one record per ID, so a task's index in
+	// it is its slot: the per-entry passes keep per-task state in
+	// slices indexed by slot. Add tasks with DeclareTask.
+	Tasks []TaskInfo
 
 	// Interned name tables for diagnostics (may be partially empty).
 	Fields  map[FieldID]string
@@ -29,7 +33,6 @@ type Trace struct {
 // New returns an empty trace with initialized tables.
 func New() *Trace {
 	return &Trace{
-		Tasks:   make(map[TaskID]TaskInfo),
 		Fields:  make(map[FieldID]string),
 		Methods: make(map[MethodID]string),
 		Queues:  make(map[QueueID]string),
@@ -52,9 +55,92 @@ func (tr *Trace) Len() int {
 	return tr.StreamLen
 }
 
+// DeclareTask records ti in Tasks, replacing any record with its ID.
+// Tasks declared in ascending ID order, as the simulator declares
+// them, are appended; any other goes to its sorted position.
+func (tr *Trace) DeclareTask(ti TaskInfo) {
+	if n := len(tr.Tasks); n == 0 || tr.Tasks[n-1].ID < ti.ID {
+		tr.Tasks = append(tr.Tasks, ti)
+		return
+	}
+	s, found := slices.BinarySearchFunc(tr.Tasks, ti.ID, byID)
+	if found {
+		tr.Tasks[s] = ti
+		return
+	}
+	tr.Tasks = slices.Insert(tr.Tasks, s, ti)
+}
+
+// byID orders a task record against an ID.
+func byID(ti TaskInfo, id TaskID) int { return cmp.Compare(ti.ID, id) }
+
+// Slot returns the index of task id in Tasks, or -1 when the trace
+// does not declare it. When the declared IDs are 1..n, as on every
+// app model, the slot is the ID minus one; otherwise it is found by
+// binary search, so a sparse header costs nothing beyond its records.
+func (tr *Trace) Slot(id TaskID) int32 {
+	if s := uint32(id) - 1; s < uint32(len(tr.Tasks)) && tr.Tasks[s].ID == id {
+		return int32(s)
+	}
+	if s, found := slices.BinarySearchFunc(tr.Tasks, id, byID); found {
+		return int32(s)
+	}
+	return -1
+}
+
+// task returns the record of task t, or nil when t is not declared.
+func (tr *Trace) task(t TaskID) *TaskInfo {
+	if s := tr.Slot(t); s >= 0 {
+		return &tr.Tasks[s]
+	}
+	return nil
+}
+
+// Sweep calls f on each entry, in order, with its task's slot, and
+// stops at the first error f returns. An entry whose task is not
+// declared is an error: the stand-alone passes (hb.Scan,
+// lockset.Compute, detect.Detect) sweep traces no validator has
+// checked.
+func (tr *Trace) Sweep(f func(i int, e *Entry, slot int32) error) error {
+	for i := range tr.Entries {
+		e := &tr.Entries[i]
+		s := tr.Slot(e.Task)
+		if s < 0 {
+			return fmt.Errorf("trace: entry %d: task t%d not declared", i, e.Task)
+		}
+		if err := f(i, e, s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sortTasks sorts task records read in record order by ID, stably.
+// When an ID repeats it returns the record index and ID of the first
+// record, in record order, whose ID an earlier record declared, else
+// -1. The decoders call it only when the records did not arrive
+// strictly ascending.
+func sortTasks(ts []TaskInfo) (dup int, id TaskID) {
+	order := make([]int32, len(ts))
+	for r := range order {
+		order[r] = int32(r)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(ts[a].ID, ts[b].ID) })
+	dup = -1
+	sorted := make([]TaskInfo, len(ts))
+	for k, r := range order {
+		sorted[k] = ts[r]
+		if k > 0 && ts[order[k-1]].ID == ts[r].ID && (dup < 0 || int(r) < dup) {
+			dup, id = int(r), ts[r].ID
+		}
+	}
+	copy(ts, sorted)
+	return dup, id
+}
+
 // TaskName returns a diagnostic name for a task.
 func (tr *Trace) TaskName(t TaskID) string {
-	if ti, ok := tr.Tasks[t]; ok && ti.Name != "" {
+	if ti := tr.task(t); ti != nil && ti.Name != "" {
 		return ti.Name
 	}
 	return fmt.Sprintf("t%d", t)
@@ -87,27 +173,17 @@ func (tr *Trace) VarName(v VarID) string {
 // IsEventTask reports whether t is an event (as opposed to a regular
 // or looper thread).
 func (tr *Trace) IsEventTask(t TaskID) bool {
-	return tr.Tasks[t].Kind == KindEvent
+	ti := tr.task(t)
+	return ti != nil && ti.Kind == KindEvent
 }
 
 // LooperOf returns the looper thread that processed event t, or NoTask
 // if t is not an event.
 func (tr *Trace) LooperOf(t TaskID) TaskID {
-	ti := tr.Tasks[t]
-	if ti.Kind != KindEvent {
-		return NoTask
+	if ti := tr.task(t); ti != nil && ti.Kind == KindEvent {
+		return ti.Looper
 	}
-	return ti.Looper
-}
-
-// TaskIDs returns all task ids in ascending order.
-func (tr *Trace) TaskIDs() []TaskID {
-	ids := make([]TaskID, 0, len(tr.Tasks))
-	for id := range tr.Tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return NoTask
 }
 
 // EventCount returns the number of event tasks in the trace; this is
@@ -134,7 +210,7 @@ func (tr *Trace) EventCount() int {
 //
 // It returns the first violation found, or nil.
 func (tr *Trace) Validate() error {
-	v := NewValidator(tr, NewTaskTable(tr))
+	v := NewValidator(tr)
 	for i := range tr.Entries {
 		if _, err := v.Entry(&tr.Entries[i]); err != nil {
 			return err
@@ -150,7 +226,6 @@ func (tr *Trace) Validate() error {
 // Finish runs the end-of-trace table checks.
 type Validator struct {
 	tr       *Trace
-	tasks    *TaskTable
 	states   []taskValState // by slot
 	lastTime int64
 	i        int
@@ -176,18 +251,16 @@ type taskValState struct {
 	created int
 }
 
-// NewValidator returns a Validator over the header's task table;
-// tasks must be NewTaskTable(header), built once per trace.
-func NewValidator(header *Trace, tasks *TaskTable) *Validator {
+// NewValidator returns a Validator over the header's task table.
+func NewValidator(header *Trace) *Validator {
 	return &Validator{
 		tr:     header,
-		tasks:  tasks,
-		states: make([]taskValState, tasks.Len()),
+		states: make([]taskValState, len(header.Tasks)),
 	}
 }
 
 // Entry checks the next entry in sequence and returns the slot of its
-// task in the validator's TaskTable, which the per-entry passes index
+// task in the header's task table, which the per-entry passes index
 // their state by; messages are identical to the batch Validate.
 // Messages format e.String() rather than e: passing the pointer to fmt
 // would make it escape, moving a streaming caller's by-value entry to
@@ -202,7 +275,7 @@ func (v *Validator) Entry(e *Entry) (int32, error) {
 		return -1, fmt.Errorf("trace: entry %d (%s): zero task id", i, e.String())
 	}
 	if e.Task != v.runTask {
-		v.runTask, v.runSlot = e.Task, v.tasks.Slot(e.Task)
+		v.runTask, v.runSlot = e.Task, tr.Slot(e.Task)
 	}
 	slot := v.runSlot
 	if slot < 0 {
@@ -255,7 +328,7 @@ func (v *Validator) Entry(e *Entry) (int32, error) {
 
 // target returns the state of a fork/send target.
 func (v *Validator) target(t TaskID) *taskValState {
-	if s := v.tasks.Slot(t); s >= 0 {
+	if s := v.tr.Slot(t); s >= 0 {
 		return &v.states[s]
 	}
 	if v.undeclared == nil {
@@ -269,35 +342,20 @@ func (v *Validator) target(t TaskID) *taskValState {
 	return st
 }
 
-// Finish runs the end-of-trace task-table checks. When several tasks
-// fail them it reports the one with the lowest ID, so repeated runs
-// over one trace report the same fault.
+// Finish runs the end-of-trace task-table checks. It walks the table
+// in ID order and reports the first fault, so when several tasks fail
+// them every run over one trace reports the lowest-ID task's.
 func (v *Validator) Finish() error {
-	var bad TaskID
-	var err error
-	for id, ti := range v.tr.Tasks {
-		if err != nil && id > bad {
+	tr := v.tr
+	for _, ti := range tr.Tasks {
+		if ti.Kind != KindEvent {
 			continue
 		}
-		if e := v.taskFault(id, ti); e != nil {
-			bad, err = id, e
-		}
-	}
-	return err
-}
-
-// taskFault checks one task table record.
-func (v *Validator) taskFault(id TaskID, ti TaskInfo) error {
-	tr := v.tr
-	if ti.ID != 0 && ti.ID != id {
-		return fmt.Errorf("trace: task table entry %d has mismatched ID %d", id, ti.ID)
-	}
-	if ti.Kind == KindEvent {
 		if ti.Looper == NoTask {
-			return fmt.Errorf("trace: event %s has no looper", tr.TaskName(id))
+			return fmt.Errorf("trace: event %s has no looper", tr.TaskName(ti.ID))
 		}
-		if lt, ok := tr.Tasks[ti.Looper]; !ok || lt.Kind != KindThread {
-			return fmt.Errorf("trace: event %s: looper t%d is not a thread", tr.TaskName(id), ti.Looper)
+		if lt := tr.task(ti.Looper); lt == nil || lt.Kind != KindThread {
+			return fmt.Errorf("trace: event %s: looper t%d is not a thread", tr.TaskName(ti.ID), ti.Looper)
 		}
 	}
 	return nil

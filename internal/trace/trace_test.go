@@ -71,10 +71,10 @@ func TestEntryFreeAlloc(t *testing.T) {
 // validTrace builds a small well-formed trace exercising all ops.
 func validTrace() *Trace {
 	tr := New()
-	tr.Tasks[1] = TaskInfo{ID: 1, Kind: KindThread, Name: "looper"}
-	tr.Tasks[2] = TaskInfo{ID: 2, Kind: KindThread, Name: "worker"}
-	tr.Tasks[3] = TaskInfo{ID: 3, Kind: KindEvent, Name: "onCreate", Looper: 1, Queue: 1}
-	tr.Tasks[4] = TaskInfo{ID: 4, Kind: KindEvent, Name: "onDestroy", Looper: 1, Queue: 1}
+	tr.DeclareTask(TaskInfo{ID: 1, Kind: KindThread, Name: "looper"})
+	tr.DeclareTask(TaskInfo{ID: 2, Kind: KindThread, Name: "worker"})
+	tr.DeclareTask(TaskInfo{ID: 3, Kind: KindEvent, Name: "onCreate", Looper: 1, Queue: 1})
+	tr.DeclareTask(TaskInfo{ID: 4, Kind: KindEvent, Name: "onDestroy", Looper: 1, Queue: 1})
 	tr.Fields[1] = "providerUtils"
 	tr.Methods[1] = "onCreate"
 	tr.Queues[1] = "main"
@@ -151,14 +151,10 @@ func TestValidateRejects(t *testing.T) {
 		{"undeclared first entry", mk(func(tr *Trace) { tr.Entries[0].Task = 5 }),
 			"trace: entry 0 (begin(t5) @0): task t5 not declared"},
 		{"event without looper", mk(func(tr *Trace) {
-			ti := tr.Tasks[3]
-			ti.Looper = 0
-			tr.Tasks[3] = ti
+			tr.Tasks[tr.Slot(3)].Looper = 0
 		}), "no looper"},
 		{"event looper not thread", mk(func(tr *Trace) {
-			ti := tr.Tasks[3]
-			ti.Looper = 4
-			tr.Tasks[3] = ti
+			tr.Tasks[tr.Slot(3)].Looper = 4
 		}), "not a thread"},
 	}
 	for _, c := range cases {
@@ -176,21 +172,21 @@ func TestValidateRejects(t *testing.T) {
 
 // TestValidateFinishStable pins the end-of-trace check to one fault
 // when several tasks fail it: the lowest-ID task's, on every call,
-// whatever order the task map iterates in.
+// whatever order the tasks were declared in.
 func TestValidateFinishStable(t *testing.T) {
 	tr := New()
 	for id := TaskID(2); id <= 9; id++ {
-		tr.Tasks[id] = TaskInfo{ID: id, Kind: KindEvent, Name: fmt.Sprintf("ev%d", id)}
+		tr.DeclareTask(TaskInfo{ID: id, Kind: KindEvent, Name: fmt.Sprintf("ev%d", id)})
 	}
 	// A lower-ID event failing the other looper check still wins.
-	tr.Tasks[1] = TaskInfo{ID: 1, Kind: KindEvent, Name: "first", Looper: 30}
+	tr.DeclareTask(TaskInfo{ID: 1, Kind: KindEvent, Name: "first", Looper: 30})
 	const want = "trace: event first: looper t30 is not a thread"
 	for range 50 {
 		if err := tr.Validate(); err == nil || err.Error() != want {
 			t.Fatalf("Validate() = %v, want %q", err, want)
 		}
 	}
-	delete(tr.Tasks, 1)
+	tr.Tasks = slices.Delete(tr.Tasks, 0, 1) // task 1
 	for range 50 {
 		if err := tr.Validate(); err == nil || err.Error() != "trace: event ev2 has no looper" {
 			t.Fatalf("Validate() = %v, want the ev2 fault", err)
@@ -198,52 +194,70 @@ func TestValidateFinishStable(t *testing.T) {
 	}
 }
 
-// TestTaskTable covers the identity and the remapped slot layouts.
+// TestTaskTable covers the header's task table as the slot table:
+// Slot on IDs 1..n and on sparse IDs, and Sweep's slots.
 func TestTaskTable(t *testing.T) {
 	dense := validTrace()
-	tt := NewTaskTable(dense)
-	if tt.Len() != 4 || tt.slots != nil {
-		t.Fatalf("dense table: Len %d, remapped %v", tt.Len(), tt.slots != nil)
-	}
 	for id := TaskID(0); id <= 5; id++ {
 		want := int32(id) - 1
 		if id == 0 || id == 5 {
 			want = -1
 		}
-		if got := tt.Slot(id); got != want {
+		if got := dense.Slot(id); got != want {
 			t.Errorf("dense Slot(%d) = %d, want %d", id, got, want)
 		}
 	}
-	if tt.Looper(tt.Slot(4)) != tt.Slot(1) || tt.Looper(tt.Slot(2)) != -1 {
+	if dense.Slot(dense.LooperOf(4)) != dense.Slot(1) || dense.LooperOf(2) != NoTask {
 		t.Error("dense table: wrong looper slots")
 	}
 
 	sparse := New()
 	ids := []TaskID{0xFFFFFFFE, 1 << 31, 1 << 20, 1}
 	for _, id := range ids {
-		sparse.Tasks[id] = TaskInfo{ID: id, Kind: KindThread}
+		sparse.DeclareTask(TaskInfo{ID: id, Kind: KindThread})
 	}
-	sparse.Tasks[1<<20] = TaskInfo{ID: 1 << 20, Kind: KindEvent, Looper: 0xFFFFFFFE}
-	tt = NewTaskTable(sparse)
-	if tt.Len() != 4 || tt.slots == nil {
-		t.Fatalf("sparse table: Len %d, remapped %v", tt.Len(), tt.slots != nil)
+	sparse.DeclareTask(TaskInfo{ID: 1 << 20, Kind: KindEvent, Looper: 0xFFFFFFFE})
+	if len(sparse.Tasks) != 4 || sparse.Tasks[1].Kind != KindEvent {
+		t.Fatalf("sparse table: %+v", sparse.Tasks)
 	}
 	for s, id := range []TaskID{1, 1 << 20, 1 << 31, 0xFFFFFFFE} {
-		if tt.Slot(id) != int32(s) {
-			t.Errorf("sparse: slot of %#x = %d, want %d", id, tt.Slot(id), s)
+		if sparse.Slot(id) != int32(s) {
+			t.Errorf("sparse: slot of %#x = %d, want %d", id, sparse.Slot(id), s)
 		}
 	}
-	if tt.Slot(2) != -1 || tt.Slot(0) != -1 {
-		t.Error("sparse table slots an undeclared task")
+	// 2 and 3 fall in range of the fast path; 4 is past the end.
+	for _, id := range []TaskID{0, 2, 3, 4, 1<<20 + 1, 0xFFFFFFFF} {
+		if sparse.Slot(id) != -1 {
+			t.Errorf("sparse table slots undeclared task %#x", id)
+		}
 	}
-	if tt.Looper(1) != 3 || tt.Looper(0) != -1 {
+	if sparse.Slot(sparse.Tasks[1].Looper) != 3 || sparse.LooperOf(1) != NoTask {
 		t.Error("sparse table: wrong looper slots")
 	}
 	sparse.Entries = []Entry{{Task: 1 << 31}, {Task: 1}, {Task: 0xFFFFFFFE}, {Task: 2}, {Task: 1}}
 	var slots []int32
-	err := tt.Sweep(sparse, func(_ int, _ *Entry, s int32) error { slots = append(slots, s); return nil })
+	err := sparse.Sweep(func(_ int, _ *Entry, s int32) error { slots = append(slots, s); return nil })
 	if !slices.Equal(slots, []int32{2, 0, 3}) || err == nil || err.Error() != "trace: entry 3: task t2 not declared" {
 		t.Errorf("Sweep: slots %v, error %v", slots, err)
+	}
+}
+
+// TestDeclareTaskOutOfOrder declares tasks in scrambled order, with a
+// redeclaration, and requires the table an ascending declaration of
+// the final records builds.
+func TestDeclareTaskOutOfOrder(t *testing.T) {
+	want := validTrace().Tasks
+	got := New()
+	for _, s := range []int{2, 0, 3, 1} {
+		ti := want[s]
+		ti.Name = "stale"
+		got.DeclareTask(ti)
+	}
+	for _, s := range []int{3, 1, 2, 0} {
+		got.DeclareTask(want[s])
+	}
+	if !reflect.DeepEqual(got.Tasks, want) {
+		t.Errorf("out-of-order declaration:\n got %+v\nwant %+v", got.Tasks, want)
 	}
 }
 
@@ -344,9 +358,7 @@ func TestCodecQuick(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e := randomEntry(r)
 			tr.Append(e)
-			if _, ok := tr.Tasks[e.Task]; !ok {
-				tr.Tasks[e.Task] = TaskInfo{ID: e.Task, Kind: KindThread, Name: "t"}
-			}
+			tr.DeclareTask(TaskInfo{ID: e.Task, Kind: KindThread, Name: "t"})
 		}
 		var buf bytes.Buffer
 		if err := tr.Encode(&buf); err != nil {
@@ -425,10 +437,9 @@ func TestEventCountAndLooperOf(t *testing.T) {
 	if !tr.IsEventTask(3) || tr.IsEventTask(2) {
 		t.Error("IsEventTask misclassifies")
 	}
-	ids := tr.TaskIDs()
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			t.Error("TaskIDs not ascending")
+	for i := 1; i < len(tr.Tasks); i++ {
+		if tr.Tasks[i].ID <= tr.Tasks[i-1].ID {
+			t.Error("Tasks not ascending")
 		}
 	}
 }

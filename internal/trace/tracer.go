@@ -31,7 +31,7 @@ func NewCollector() *Collector { return &Collector{T: New()} }
 func (c *Collector) Emit(e Entry) { c.T.Append(e) }
 
 // DeclareTask implements Tracer.
-func (c *Collector) DeclareTask(ti TaskInfo) { c.T.Tasks[ti.ID] = ti }
+func (c *Collector) DeclareTask(ti TaskInfo) { c.T.DeclareTask(ti) }
 
 // InternField implements Tracer.
 func (c *Collector) InternField(id FieldID, name string) { c.T.Fields[id] = name }

@@ -34,8 +34,8 @@ func slotOf(tr *trace.Trace, slots map[trace.TaskID]int, next *int, t trace.Task
 }
 
 func taskKey(tr *trace.Trace, t trace.TaskID) trace.TaskID {
-	if ti, ok := tr.Tasks[t]; ok && ti.Kind == trace.KindEvent {
-		return ti.Looper
+	if tr.IsEventTask(t) {
+		return tr.LooperOf(t)
 	}
 	return t
 }

@@ -93,8 +93,8 @@ func TestEpoch(t *testing.T) {
 // mkThreadTrace builds a simple two-thread trace with a fork edge.
 func mkForkTrace() *trace.Trace {
 	tr := trace.New()
-	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"}
-	tr.Tasks[2] = trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "child"}
+	tr.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "main"})
+	tr.DeclareTask(trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "child"})
 	es := []trace.Entry{
 		{Task: 1, Op: trace.OpBegin},
 		{Task: 1, Op: trace.OpWrite, Var: 7}, // 1
@@ -153,8 +153,8 @@ func TestFastTrackFindsThreadRace(t *testing.T) {
 
 func TestFastTrackRespectsLocks(t *testing.T) {
 	tr := trace.New()
-	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "a"}
-	tr.Tasks[2] = trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "b"}
+	tr.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "a"})
+	tr.DeclareTask(trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "b"})
 	es := []trace.Entry{
 		{Task: 1, Op: trace.OpBegin},
 		{Task: 2, Op: trace.OpBegin},
@@ -185,11 +185,11 @@ func TestFastTrackBlindToIntraLooperRaces(t *testing.T) {
 	// detector folds them into the looper's program order and reports
 	// nothing — the paper's core criticism.
 	tr := trace.New()
-	tr.Tasks[1] = trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "looper"}
-	tr.Tasks[2] = trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "s1"}
-	tr.Tasks[3] = trace.TaskInfo{ID: 3, Kind: trace.KindThread, Name: "s2"}
-	tr.Tasks[4] = trace.TaskInfo{ID: 4, Kind: trace.KindEvent, Name: "evA", Looper: 1, Queue: 1}
-	tr.Tasks[5] = trace.TaskInfo{ID: 5, Kind: trace.KindEvent, Name: "evB", Looper: 1, Queue: 1}
+	tr.DeclareTask(trace.TaskInfo{ID: 1, Kind: trace.KindThread, Name: "looper"})
+	tr.DeclareTask(trace.TaskInfo{ID: 2, Kind: trace.KindThread, Name: "s1"})
+	tr.DeclareTask(trace.TaskInfo{ID: 3, Kind: trace.KindThread, Name: "s2"})
+	tr.DeclareTask(trace.TaskInfo{ID: 4, Kind: trace.KindEvent, Name: "evA", Looper: 1, Queue: 1})
+	tr.DeclareTask(trace.TaskInfo{ID: 5, Kind: trace.KindEvent, Name: "evB", Looper: 1, Queue: 1})
 	es := []trace.Entry{
 		{Task: 1, Op: trace.OpBegin},
 		{Task: 2, Op: trace.OpBegin},
@@ -241,7 +241,7 @@ func genThreadTrace(r *rand.Rand) *trace.Trace {
 	add := func() *th {
 		t := &th{id: nextID}
 		nextID++
-		tr.Tasks[t.id] = trace.TaskInfo{ID: t.id, Kind: trace.KindThread, Name: "t"}
+		tr.DeclareTask(trace.TaskInfo{ID: t.id, Kind: trace.KindThread, Name: "t"})
 		return t
 	}
 	emit := func(e trace.Entry) {
