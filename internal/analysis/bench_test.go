@@ -79,3 +79,33 @@ func BenchmarkAnalyzeAll(b *testing.B) {
 		})
 	}
 }
+
+// serveShape is the upload cafa-serve's benchmark workload analyzes:
+// a dense closure with about a thousand races per trace.
+var serveShape = synth.Config{Chain: 8, EventsPer: 16, FreeThreads: 4, Burst: 8, BurstEvents: 120}
+
+// BenchmarkEvidence measures one analysis of the serve upload shape
+// with evidence off and on. With evidence on, an op also reads every
+// record, so work the collector defers to its first read counts.
+func BenchmarkEvidence(b *testing.B) {
+	tr := synth.Trace(serveShape)
+	for _, on := range []bool{false, true} {
+		name := "off"
+		if on {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			p := New(Options{Evidence: on})
+			for i := 0; i < b.N; i++ {
+				res, err := p.Analyze(tr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if on && len(res.Evidence.Evidence()) == 0 {
+					b.Fatal("no evidence records")
+				}
+			}
+		})
+	}
+}

@@ -206,6 +206,11 @@ func (a *Analyzer) Finish(sp *obs.Span) (*Result, error) {
 		cTraceErrors.Inc()
 		return nil, err
 	}
+	if col != nil {
+		spEv := sp.Child("provenance.derive")
+		col.Derive()
+		spEv.End()
+	}
 	out := &Result{
 		Trace:        a.tr,
 		Races:        res.Races,

@@ -396,7 +396,9 @@ func TestFuzzSeedsCover(t *testing.T) {
 }
 
 // assertExplainMatches compares Explain with an unpruned BFS on a
-// sample of entry pairs drawn from data.
+// sample of entry pairs drawn from data, then drives one Search the
+// way the provenance collector does: many targets from one source,
+// then from a second source, then from the first again.
 func assertExplainMatches(t *testing.T, g *Graph, ref *refGraph, data []byte) {
 	t.Helper()
 	n := len(g.tr.Entries)
@@ -406,10 +408,25 @@ func assertExplainMatches(t *testing.T, g *Graph, ref *refGraph, data []byte) {
 			t.Fatalf("Explain(%d, %d) = %v, unpruned search gives %v", i, j, got, want)
 		}
 	}
+	if len(data) < 2 {
+		return
+	}
+	s := g.NewSearch()
+	for _, i := range []int{int(data[0]) * n / 256, int(data[1]) * n / 256, int(data[0]) * n / 256} {
+		for k := 2; k < len(data) && k < 66; k++ {
+			j := int(data[k]) * n / 256
+			if got, want := s.Explain(i, j), explainUnpruned(g, i, j, refOrdered(g, ref, i, j)); !slices.Equal(got, want) {
+				t.Fatalf("Search.Explain(%d, %d) = %v, unpruned search gives %v", i, j, got, want)
+			}
+		}
+	}
 }
 
 // assertAncestorMatches compares CommonAncestor with a scan of every
 // node against the reference closure, on entry pairs drawn from data.
+// Then it asks for many uses against one free and a later entry of the
+// free's task, as the provenance collector does, through both ways
+// CommonAncestors answers, against the backward scan.
 func assertAncestorMatches(t *testing.T, g *Graph, ref *refGraph, data []byte) {
 	t.Helper()
 	n := len(g.tr.Entries)
@@ -424,7 +441,54 @@ func assertAncestorMatches(t *testing.T, g *Graph, ref *refGraph, data []byte) {
 		if got := g.CommonAncestor(i, j); got != want {
 			t.Fatalf("CommonAncestor(%d, %d) = %d, reference %d", i, j, got, want)
 		}
+		if got := ancestorScan(g, i, j); got != want {
+			t.Fatalf("backward scan (%d, %d) = %d, reference %d", i, j, got, want)
+		}
 	}
+	if len(data) == 0 {
+		return
+	}
+	free := int(data[0]) * n / 256
+	frees := []int{free}
+	for j := free + 1; j < n; j++ {
+		if g.tr.Entries[j].Task == g.tr.Entries[free].Task {
+			frees = append(frees, j)
+			break
+		}
+	}
+	var pairs [][2]int
+	for k := 1; k < len(data) && k < 65; k++ {
+		for _, j := range frees {
+			pairs = append(pairs, [2]int{int(data[k]) * n / 256, j})
+		}
+	}
+	byScan := make([]int, len(pairs))
+	g.ancestorsByScan(g.ancestorQueries(pairs), byScan)
+	for k, got := range g.CommonAncestors(pairs) {
+		i, j := pairs[k][0], pairs[k][1]
+		want := ancestorScan(g, i, j)
+		if got != want || byScan[k] != want {
+			t.Fatalf("CommonAncestors pair %d (%d, %d) = %d, by shared scan %d, backward scan %d", k, i, j, got, byScan[k], want)
+		}
+	}
+}
+
+// ancestorScan is CommonAncestor as one backward scan from the
+// earlier entry, testing both sides of every node.
+func ancestorScan(g *Graph, i, j int) int {
+	ei, ej := g.tr.Entries[i].Task, g.tr.Entries[j].Task
+	ci, cj := g.columnOf(g.anchorBefore(ei, i)), g.columnOf(g.anchorBefore(ej, j))
+	ti, tj := g.tr.Slot(ei), g.tr.Slot(ej)
+	for n := len(g.nodes) - 1; n >= 0; n-- {
+		if g.nodes[n].seq >= min(i, j) {
+			continue
+		}
+		t, r := g.nodes[n].slot, g.ix.exitAt[n]
+		if (t == ti || g.rowHas(r, ci)) && (t == tj || g.rowHas(r, cj)) {
+			return g.nodes[n].seq
+		}
+	}
+	return -1
 }
 
 // explainUnpruned is Explain's breadth-first search without the

@@ -125,12 +125,12 @@ type Graph struct {
 	hits    []uint64
 	fired   []int32
 
-	// bfsPool recycles Explain's BFS scratch; byCol is
-	// CommonAncestor's column → rows index (see columnRows).
-	bfsPool   sync.Pool
-	byColOnce sync.Once
-	byColOff  []int32
-	byCol     []int32
+	// searchPool recycles Explain's searches; byCol is
+	// CommonAncestors' column → rows index (see columnRows).
+	searchPool sync.Pool
+	byColOnce  sync.Once
+	byColOff   []int32
+	byCol      []int32
 
 	rounds    int
 	baseEdges int

@@ -217,8 +217,9 @@ func lockNames(locks []trace.LockID) []string {
 }
 
 // Bundle renders the collector's records as the exported evidence for
-// one input. It is a pure render — safe to call repeatedly (the live
-// triage view and the final export share one collector).
+// one input. It is safe to call repeatedly (the live triage view and
+// the final export share one collector): past the derivation Evidence
+// completes on first read, it only renders.
 func (c *Collector) Bundle(file string) InputEvidence {
 	in := InputEvidence{
 		File:    file,

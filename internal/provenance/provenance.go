@@ -23,6 +23,8 @@
 package provenance
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"cafa/internal/detect"
@@ -103,10 +105,15 @@ type Collector struct {
 
 	evidence map[detect.SiteKey]*Evidence
 	order    []detect.SiteKey
-	pruned   []Pruned
-	stageHas [detect.NumPruneStages]bool
-	stages   [detect.NumPruneStages]int
-	dropped  int
+	// underived are the records reported since the last Derive;
+	// search is the one graph search every derivation path is read
+	// from, made on first use.
+	underived []*Evidence
+	search    *hb.Search
+	pruned    []Pruned
+	stageHas  [detect.NumPruneStages]bool
+	stages    [detect.NumPruneStages]int
+	dropped   int
 }
 
 // NewCollector returns a collector for one trace. graph is required;
@@ -140,9 +147,9 @@ func (c *Collector) Pruned(u detect.Use, f detect.Free, w detect.PruneWitness) {
 	rec := Pruned{Use: u, Free: f, W: w}
 	if w.Stage == detect.PruneOrdered {
 		if w.UseBeforeFree {
-			rec.Path = c.graph.Explain(u.ReadIdx, f.Idx)
+			rec.Path = c.paths().Explain(u.ReadIdx, f.Idx)
 		} else {
-			rec.Path = c.graph.Explain(f.Idx, u.ReadIdx)
+			rec.Path = c.paths().Explain(f.Idx, u.ReadIdx)
 		}
 	}
 	c.pruned = append(c.pruned, rec)
@@ -159,19 +166,14 @@ func (c *Collector) Reported(r detect.Race) {
 		return
 	}
 	ev := &Evidence{
-		Race:     r,
-		Site:     r.Key(),
-		Ancestor: c.graph.CommonAncestor(use, free),
-		Conv:     ExplainConv(c.conv, use, free),
+		Race: r,
+		Site: r.Key(),
+		Conv: ExplainConv(c.conv, use, free),
 		SameLooper: c.tr.IsEventTask(r.Use.Task) && c.tr.IsEventTask(r.Free.Task) &&
 			c.tr.LooperOf(r.Use.Task) == c.tr.LooperOf(r.Free.Task),
 		Instances:   1,
 		FirstUseIdx: use, FirstFreeIdx: free,
 		LastUseIdx: use, LastFreeIdx: free,
-	}
-	if ev.Ancestor >= 0 {
-		ev.ToUse = c.graph.Explain(ev.Ancestor, use)
-		ev.ToFree = c.graph.Explain(ev.Ancestor, free)
 	}
 	if c.locks != nil {
 		ev.UseLocks = append([]trace.LockID(nil), c.locks.At(use)...)
@@ -179,11 +181,55 @@ func (c *Collector) Reported(r detect.Race) {
 	}
 	c.order = append(c.order, ev.Site)
 	c.evidence[ev.Site] = ev
+	c.underived = append(c.underived, ev)
+}
+
+// Derive fills in the causality subgraph — Ancestor, ToUse and ToFree
+// — of every record reported since its last call. Races share few
+// ancestors and free anchors, so it derives them together: ancestors
+// through one candidate list per free anchor, paths through one search
+// tree per ancestor, with scratch of one slot per graph node whatever
+// the race count. The scratch is released on return. Evidence calls
+// it; the analysis pipeline calls it when detection ends, so a
+// Result's collector is complete and is only read from then on.
+func (c *Collector) Derive() {
+	if evs := c.underived; len(evs) > 0 {
+		c.underived = nil
+		pairs := make([][2]int, len(evs))
+		for k, ev := range evs {
+			pairs[k] = [2]int{ev.Race.Use.ReadIdx, ev.Race.Free.Idx}
+		}
+		for k, a := range c.graph.CommonAncestors(pairs) {
+			evs[k].Ancestor = a
+		}
+		slices.SortFunc(evs, func(a, b *Evidence) int { return cmp.Compare(a.Ancestor, b.Ancestor) })
+		s := c.paths()
+		for _, ev := range evs {
+			if ev.Ancestor >= 0 {
+				ev.ToUse = s.Explain(ev.Ancestor, ev.Race.Use.ReadIdx)
+				ev.ToFree = s.Explain(ev.Ancestor, ev.Race.Free.Idx)
+			}
+		}
+	}
+	// A derived collector is only read, so concurrent readers may
+	// call Derive: write nothing when there is nothing to release.
+	if c.search != nil {
+		c.search = nil
+	}
+}
+
+// paths returns the collector's search over the event-driven graph.
+func (c *Collector) paths() *hb.Search {
+	if c.search == nil {
+		c.search = c.graph.NewSearch()
+	}
+	return c.search
 }
 
 // Evidence returns the per-race records in canonical SiteKey order
-// (the order of the detector's report).
+// (the order of the detector's report), deriving any still underived.
 func (c *Collector) Evidence() []*Evidence {
+	c.Derive()
 	keys := append([]detect.SiteKey(nil), c.order...)
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	out := make([]*Evidence, 0, len(keys))
